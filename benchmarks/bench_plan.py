@@ -1,21 +1,25 @@
-"""Structure-compiled engine vs the per-link vectorized engine.
+"""Structure-compiled engine vs the per-task loop reference.
 
 The compiled engine replays a per-robot execution plan
 (:mod:`repro.dynamics.plan`): recursions scheduled by tree *depth level*
 (independent branches fused into one array op per level), transforms
-refreshed in one op per joint kind, and preallocated per-thread
-workspaces.  Its advantage grows with branching — a serial chain has one
-link per level, a quadruped advances four legs per step — which is
-exactly the structure argument the paper's SAPS make in silicon.
+refreshed in one op per joint kind, packed-column mass-matrix and
+derivative sweeps, and preallocated per-thread workspaces.  It is the
+process-wide default engine and the one ``repro.serve`` ships.
 
-This bench times ``"compiled"`` against ``"vectorized"`` (and the
-``"loop"`` reference at batch 1, where a per-task Python loop is still
-affordable) on a serial robot (iiwa) and two branched robots (hyq,
-quadruped_arm) across the batch sizes the serve runtime produces.
+This bench times ``"compiled"`` against the per-task ``"loop"``
+reference on a serial robot (iiwa) and three branched robots (hyq,
+quadruped_arm, atlas) across the batch sizes the serve runtime produces.
+The loop engine is a Python loop over scalar per-task kernels, so its
+cost is linear in the batch: batches larger than :data:`LOOP_SAMPLE`
+time the loop on their first ``LOOP_SAMPLE`` tasks and scale by
+``batch / LOOP_SAMPLE`` (the ``loop_tasks`` JSON field records how many
+tasks were timed).
 
-Acceptance anchors: compiled must be >= 1.0x vectorized on a branched
-robot (CI smoke floor) and the full table shows >= 1.5x on branched
-robots at batch 256 for FD (it ships as the serve default).
+Acceptance anchor: compiled must be >= 5x faster than loop on every
+robot and function at batch >= 64 — in particular iiwa FD at batch 256.
+The CI smoke (``--quick``) checks FD at batch 64 on iiwa and
+quadruped_arm.
 
 Runs under pytest (with the usual summary table) or directly for CI
 smoke::
@@ -39,18 +43,14 @@ ROBOTS = (("iiwa", False), ("hyq", True), ("quadruped_arm", True),
           ("atlas", True))
 BATCHES = (1, 64, 256)
 FUNCTIONS = (RBDFunction.FD, RBDFunction.DFD)
-#: CI smoke floor: compiled must not lose to vectorized on a branched
-#: robot (the serve runtime ships compiled as its default engine).
-SMOKE_FLOOR = 1.0
-#: Acceptance target at the accelerator's native batch size.
-BRANCHED_FD_TARGET = 1.5
-#: Per-robot dFD floors at batch 256 (compiled vs vectorized).  dFD used
-#: to ride along unasserted, so a high-DOF regression (atlas sat at
-#: ~1.0x) was silent; these floors sit ~20-25% under the measured
-#: packed-sweep speedups (hyq 1.44x, quadruped_arm 1.04x, atlas 1.08x on
-#: the 1-core CI runner) so noise doesn't trip them but a real
-#: regression does.
-DFD_FLOORS = {"hyq": 1.1, "quadruped_arm": 0.8, "atlas": 0.85}
+#: compiled / loop floor at every batch >= FLOOR_MIN_BATCH.  Measured
+#: ratios on a 2-core host sit at 60-260x there, so only a gross
+#: regression (or a broken kernel path falling back to per-task work)
+#: trips it.  At batch 1 there is nothing to amortize and no floor.
+SPEEDUP_FLOOR = 5.0
+FLOOR_MIN_BATCH = 64
+#: Tasks the loop engine is timed on at larger batches (see module doc).
+LOOP_SAMPLE = 32
 
 
 def _time_engine(model, function, states, u, engine, reps) -> float:
@@ -66,35 +66,33 @@ def _time_engine(model, function, states, u, engine, reps) -> float:
 
 def run_plan_bench(robots=ROBOTS, batches=BATCHES,
                    functions=FUNCTIONS) -> list[dict]:
-    """Rows of {robot, function, batch, loop_s?, vectorized_s,
-    compiled_s, speedup} (speedup = vectorized / compiled)."""
+    """Rows of {robot, function, batch, loop_s, loop_tasks, compiled_s,
+    speedup} (speedup = loop / compiled)."""
     rows = []
     for robot, branched in robots:
         model = load_robot(robot)
         for batch in batches:
             states = BatchStates.random(model, batch, seed=0)
             u = np.random.default_rng(1).normal(size=(batch, model.nv))
+            k = min(batch, LOOP_SAMPLE)
+            sample = BatchStates(states.q[:k], states.qd[:k])
             for function in functions:
-                row = {
+                loop_s = _time_engine(
+                    model, function, sample, u[:k], "loop", reps=2
+                ) * batch / k
+                compiled_s = _time_engine(
+                    model, function, states, u, "compiled", reps=5
+                )
+                rows.append({
                     "robot": robot,
                     "branched": branched,
                     "function": function,
                     "batch": batch,
-                }
-                if batch == 1:
-                    # The per-task loop reference is only affordable as a
-                    # singleton; at 256 tasks it would dominate the bench.
-                    row["loop_s"] = _time_engine(
-                        model, function, states, u, "loop", reps=3
-                    )
-                row["vectorized_s"] = _time_engine(
-                    model, function, states, u, "vectorized", reps=5
-                )
-                row["compiled_s"] = _time_engine(
-                    model, function, states, u, "compiled", reps=5
-                )
-                row["speedup"] = row["vectorized_s"] / row["compiled_s"]
-                rows.append(row)
+                    "loop_s": loop_s,
+                    "loop_tasks": k,
+                    "compiled_s": compiled_s,
+                    "speedup": loop_s / compiled_s,
+                })
     return rows
 
 
@@ -102,23 +100,21 @@ def _plan_table(rows):
     from repro.reporting import Table
 
     table = Table(
-        "plan: compiled vs vectorized (speedup = vectorized / compiled)",
-        ["robot", "function", "batch", "loop (ms)", "vectorized (ms)",
-         "compiled (ms)", "speedup"],
+        "plan: compiled vs loop (speedup = loop / compiled)",
+        ["robot", "function", "batch", "loop (ms)", "compiled (ms)",
+         "speedup"],
     )
     for row in rows:
         table.add_row(
             row["robot"], row["function"].value, row["batch"],
-            "-" if "loop_s" not in row else row["loop_s"] * 1e3,
-            row["vectorized_s"] * 1e3, row["compiled_s"] * 1e3,
-            row["speedup"],
+            row["loop_s"] * 1e3, row["compiled_s"] * 1e3, row["speedup"],
         )
     return table
 
 
-def _schedule_lines() -> str:
+def _schedule_lines(robots=ROBOTS) -> str:
     lines = ["== compiled level schedules =="]
-    for robot, _ in ROBOTS:
+    for robot, _ in robots:
         info = plan_for(load_robot(robot)).describe()
         lines.append(
             f"{robot}: {info['links']} links -> {info['levels']} levels, "
@@ -127,49 +123,26 @@ def _schedule_lines() -> str:
     return "\n".join(lines)
 
 
-def _branched_speedups(rows, batch, function):
-    return {
-        row["robot"]: row["speedup"]
-        for row in rows
-        if row["branched"] and row["batch"] == batch
-        and row["function"] is function
-    }
-
-
-def _dfd_regressions(rows) -> list[str]:
-    """Per-robot dFD-at-256 floor violations, formatted for the report."""
-    dfd256 = _branched_speedups(rows, 256, RBDFunction.DFD)
+def _floor_violations(rows) -> list[str]:
+    """Cells at batch >= FLOOR_MIN_BATCH below the speedup floor."""
     return [
-        f"{robot}: dFD {dfd256[robot]:.2f}x < floor {floor:.2f}x"
-        for robot, floor in DFD_FLOORS.items()
-        if robot in dfd256 and dfd256[robot] < floor
+        f"{row['robot']} {row['function'].value} @ {row['batch']}: "
+        f"{row['speedup']:.1f}x < floor {SPEEDUP_FLOOR:.0f}x"
+        for row in rows
+        if row["batch"] >= FLOOR_MIN_BATCH
+        and row["speedup"] < SPEEDUP_FLOOR
     ]
 
 
 def test_compiled_engine_speedup(once):
-    """Compiled >= vectorized on branched robots; >= 1.5x on FD at 256;
-    per-robot dFD floors hold (high-DOF robots regress loudly now)."""
+    """Compiled >= 5x loop on every robot x function at batch >= 64."""
     from conftest import record_table
 
     def _run():
         rows = run_plan_bench()
         record_table(_plan_table(rows))
         record_table(_schedule_lines())
-        fd256 = _branched_speedups(rows, 256, RBDFunction.FD)
-        dfd256 = _branched_speedups(rows, 256, RBDFunction.DFD)
-        record_table(
-            "== compiled-engine speedup (branched, batch 256) ==\n"
-            + "\n".join(
-                f"{robot}: FD {s:.2f}x (floor {SMOKE_FLOOR:.1f}x), dFD "
-                f"{dfd256.get(robot, float('nan')):.2f}x (floor "
-                f"{DFD_FLOORS.get(robot, 0.0):.2f}x)"
-                for robot, s in fd256.items()
-            )
-        )
-        for robot, speedup in fd256.items():
-            assert speedup >= SMOKE_FLOOR, (robot, speedup)
-        assert max(fd256.values()) >= BRANCHED_FD_TARGET
-        assert not _dfd_regressions(rows), _dfd_regressions(rows)
+        assert not _floor_violations(rows), _floor_violations(rows)
 
     once(_run)
 
@@ -177,23 +150,20 @@ def test_compiled_engine_speedup(once):
 def main(argv: list[str]) -> int:
     quick = "--quick" in argv
     robots = (("iiwa", False), ("quadruped_arm", True)) if quick else ROBOTS
-    batches = (64,) if quick else BATCHES
+    batches = (FLOOR_MIN_BATCH,) if quick else BATCHES
     functions = (RBDFunction.FD,) if quick else FUNCTIONS
     rows = run_plan_bench(robots, batches, functions)
     print(f"bench_plan: {'quick' if quick else 'full'} mode")
     print(_plan_table(rows).render())
     print()
-    print(_schedule_lines())
-    branched = [r for r in rows if r["branched"]
-                and r["function"] is RBDFunction.FD]
-    worst = min(r["speedup"] for r in branched)
-    print(f"\ncompiled vs vectorized on branched FD: worst {worst:.2f}x "
-          f"(floor {SMOKE_FLOOR:.1f}x)")
-    # Per-robot dFD floors only apply when the sweep covered dFD at 256
-    # (full mode); quick mode has no dFD rows to assert on.
-    dfd_regressions = _dfd_regressions(rows)
-    for line in dfd_regressions:
-        print(f"dFD regression: {line}", file=sys.stderr)
+    print(_schedule_lines(robots))
+    floored = [r for r in rows if r["batch"] >= FLOOR_MIN_BATCH]
+    worst = min(r["speedup"] for r in floored)
+    print(f"\ncompiled vs loop at batch >= {FLOOR_MIN_BATCH}: worst "
+          f"{worst:.1f}x (floor {SPEEDUP_FLOOR:.0f}x)")
+    violations = _floor_violations(rows)
+    for line in violations:
+        print(f"below floor: {line}", file=sys.stderr)
     if "--json" in argv:
         from jsonout import write_bench_json
 
@@ -220,23 +190,15 @@ def main(argv: list[str]) -> int:
         ]
         path = write_bench_json(
             "plan", json_rows,
-            {"worst_branched_fd_speedup": worst, "floor": SMOKE_FLOOR,
-             "target": BRANCHED_FD_TARGET,
-             "dfd_floors": DFD_FLOORS,
-             "dfd_speedups_256": {
-                 robot: s for robot, s in
-                 _branched_speedups(rows, 256, RBDFunction.DFD).items()
-             },
+            {"worst_speedup": worst, "floor": SPEEDUP_FLOOR,
+             "floor_min_batch": FLOOR_MIN_BATCH,
              "kernel_breakdown": profiler.snapshot(),
              "trace_summary": tracer.summary()},
         )
         print(f"wrote {path}")
-    if worst < SMOKE_FLOOR:
-        print("FAIL: compiled engine lost to vectorized on a branched robot",
+    if violations:
+        print("FAIL: compiled engine below the loop speedup floor",
               file=sys.stderr)
-        return 1
-    if dfd_regressions:
-        print("FAIL: per-robot dFD floor violated", file=sys.stderr)
         return 1
     print("OK")
     return 0

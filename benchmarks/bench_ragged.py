@@ -1,29 +1,15 @@
-"""Packed-column plan sweeps and ragged cross-robot batching.
+"""Ragged cross-robot batching: coalesced vs fragmented serving.
 
-Two measurements on top of PR 7's ragged-batching work:
+A heterogeneous fleet (one queue per (robot, function)) fragments into
+per-robot batches unless ``BatchPolicy.coalesce`` folds compatible
+queues into one ragged batch per flush
+(:class:`repro.dynamics.RaggedBatch`).  This drives an identical
+interleaved multi-robot load through both policies and records
+throughput, merged-flush stats, and a per-request result-identity check
+(coalescing must not change any answer, bit for bit).
 
-1. **Packed vs dense compiled sweeps** — the mass-matrix and derivative
-   kernels in :mod:`repro.dynamics.plan` can run on packed
-   ``(n, L, 6, |cols|)`` column slabs (gather/scatter over each level's
-   precompiled path/subtree DOF-column union) instead of full ``nv``-wide
-   slabs.  This times ``packing="always"`` against ``packing="never"``
-   plans on the same compiled kernels for Minv and dFD, where the win
-   grows with branch-induced sparsity (atlas is the high-DOF stressor).
-
-2. **Coalesced vs fragmented mixed-robot serving** — a heterogeneous
-   fleet (one queue per (robot, function)) fragments into per-robot
-   batches unless ``BatchPolicy.coalesce`` folds compatible queues into
-   one ragged batch per flush (:class:`repro.dynamics.RaggedBatch`).
-   This drives an identical interleaved multi-robot load through both
-   policies and records throughput, merged-flush stats, and a
-   per-request result-identity check (coalescing must not change any
-   answer, bit for bit).
-
-Acceptance anchors: packed dFD >= 1.0x dense on atlas at the largest
-batch (CI smoke floor on the 1-core runner; 1.5x is the target the
-measured ~1.4x tracks), and the coalesced serve run must actually merge
-queues (``flushed_merged >= 1``) while returning bitwise-identical
-results.
+Acceptance anchor: the coalesced serve run must actually merge queues
+(``flushed_merged >= 1``) while returning bitwise-identical results.
 
 Runs under pytest (with the usual summary table) or directly for CI
 smoke::
@@ -36,72 +22,13 @@ import time
 
 import numpy as np
 
-from repro.dynamics import BatchStates
 from repro.dynamics.functions import RBDFunction
-from repro.dynamics.plan import plan_for
 from repro.model.library import load_robot
 from repro.serve import BatchPolicy, DynamicsService
 
-#: Packed-sweep sweep set: serial control + branched + high-DOF stressor.
-ROBOTS = ("iiwa", "hyq", "atlas")
-BATCH = 256
-FUNCTIONS = (RBDFunction.MINV, RBDFunction.DFD)
-#: CI smoke floor for packed-vs-dense dFD on atlas (1-core runner).
-RAGGED_FLOOR = 1.0
-#: The design target the measured speedup tracks.
-RAGGED_TARGET = 1.5
 #: Mixed-robot serve load: requests per robot, interleaved round-robin.
 SERVE_ROBOTS = ("iiwa", "hyq", "quadruped_arm")
 SERVE_REQUESTS_PER_ROBOT = 24
-
-
-def _time_packed_pair(model, function, batch, reps=3):
-    """Best-of-``reps`` wall seconds for (dense, packed) plan sweeps.
-
-    The two plans' reps interleave so drift on a noisy shared host hits
-    both sides alike; only the within-run ratio is trusted.
-    """
-    dense = plan_for(model, packing="never")
-    packed = plan_for(model, packing="always")
-    states = BatchStates.random(model, batch, seed=0)
-    q, qd = states.q, states.qd
-    tau = np.random.default_rng(1).normal(size=(batch, model.nv))
-    if function is RBDFunction.MINV:
-        calls = [(plan.minv_batch, (q,)) for plan in (dense, packed)]
-    elif function is RBDFunction.DFD:
-        calls = [(plan.dfd_batch, (q, qd, tau)) for plan in (dense, packed)]
-    else:
-        raise ValueError(f"unsupported function {function}")
-    for fn, args in calls:
-        fn(*args)                                   # warm-up both plans
-    best = [float("inf"), float("inf")]
-    for _ in range(reps):
-        for side, (fn, args) in enumerate(calls):
-            t0 = time.perf_counter()
-            fn(*args)
-            best[side] = min(best[side], time.perf_counter() - t0)
-    return best[0], best[1]
-
-
-def run_packed_bench(robots=ROBOTS, batch=BATCH,
-                     functions=FUNCTIONS, reps=3) -> list[dict]:
-    """Rows of {robot, function, batch, dense_s, packed_s, speedup}
-    (speedup = dense / packed on the same compiled kernels)."""
-    rows = []
-    for robot in robots:
-        model = load_robot(robot)
-        for function in functions:
-            dense_s, packed_s = _time_packed_pair(model, function, batch,
-                                                  reps)
-            rows.append({
-                "robot": robot,
-                "function": function,
-                "batch": batch,
-                "dense_s": dense_s,
-                "packed_s": packed_s,
-                "speedup": dense_s / packed_s,
-            })
-    return rows
 
 
 def _run_serve_mode(coalesce: bool, requests_per_robot: int,
@@ -150,21 +77,6 @@ def run_serve_bench(requests_per_robot=SERVE_REQUESTS_PER_ROBOT):
     return [fragmented, coalesced], identical
 
 
-def _packed_table(rows):
-    from repro.reporting import Table
-
-    table = Table(
-        "ragged: packed vs dense compiled sweeps (speedup = dense/packed)",
-        ["robot", "function", "batch", "dense (ms)", "packed (ms)",
-         "speedup"],
-    )
-    for row in rows:
-        table.add_row(row["robot"], row["function"].value, row["batch"],
-                      row["dense_s"] * 1e3, row["packed_s"] * 1e3,
-                      row["speedup"])
-    return table
-
-
 def _serve_table(rows):
     from repro.reporting import Table
 
@@ -180,27 +92,11 @@ def _serve_table(rows):
     return table
 
 
-def _atlas_dfd_speedup(rows) -> float:
-    for row in rows:
-        if row["robot"] == "atlas" and row["function"] is RBDFunction.DFD:
-            return row["speedup"]
-    return float("nan")
-
-
-def test_packed_sweep_speedup(once):
-    """Packed >= dense on atlas dFD; serve coalescing merges losslessly."""
+def test_coalesced_serving(once):
+    """Serve coalescing merges queues and changes no result."""
     from conftest import record_table
 
     def _run():
-        rows = run_packed_bench()
-        record_table(_packed_table(rows))
-        atlas = _atlas_dfd_speedup(rows)
-        record_table(
-            f"== packed-column sweep speedup (atlas dFD, batch {BATCH}) ==\n"
-            f"{atlas:.2f}x dense (floor {RAGGED_FLOOR:.1f}x, "
-            f"target {RAGGED_TARGET:.1f}x)"
-        )
-        assert atlas >= RAGGED_FLOOR, atlas
         serve_rows, identical = run_serve_bench(requests_per_robot=8)
         record_table(_serve_table(serve_rows))
         coalesced = serve_rows[1]
@@ -213,39 +109,22 @@ def test_packed_sweep_speedup(once):
 
 def main(argv: list[str]) -> int:
     quick = "--quick" in argv
-    reps = 2 if quick else 3
     requests_per_robot = 8 if quick else SERVE_REQUESTS_PER_ROBOT
-    rows = run_packed_bench(reps=reps)
-    print(f"bench_ragged: {'quick' if quick else 'full'} mode")
-    print(_packed_table(rows).render())
-    atlas = _atlas_dfd_speedup(rows)
-    print(f"\npacked vs dense, atlas dFD at {BATCH}: {atlas:.2f}x "
-          f"(floor {RAGGED_FLOOR:.1f}x, target {RAGGED_TARGET:.1f}x)")
     serve_rows, identical = run_serve_bench(requests_per_robot)
-    print()
+    print(f"bench_ragged: {'quick' if quick else 'full'} mode")
     print(_serve_table(serve_rows).render())
     print(f"\ncoalesced results identical to fragmented: {identical}")
     if "--json" in argv:
         from jsonout import write_bench_json
 
-        json_rows = [
-            {**row, "engine": "compiled", "backend": "numpy"}
-            for row in rows
-        ] + serve_rows
         path = write_bench_json(
-            "ragged", json_rows,
-            {"atlas_dfd_packed_speedup": atlas,
-             "floor": RAGGED_FLOOR, "target": RAGGED_TARGET,
-             "serve_results_identical": identical,
+            "ragged", serve_rows,
+            {"serve_results_identical": identical,
              "coalesced_merged_flushes": serve_rows[1]["flushed_merged"],
              "coalesced_queues_per_flush":
                  serve_rows[1]["queues_per_flush"]},
         )
         print(f"wrote {path}")
-    if atlas < RAGGED_FLOOR:
-        print("FAIL: packed sweeps lost to dense on atlas dFD",
-              file=sys.stderr)
-        return 1
     if not identical:
         print("FAIL: coalesced serve results diverged", file=sys.stderr)
         return 1

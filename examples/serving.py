@@ -12,11 +12,10 @@ evaluates it with the ``"compiled"`` engine — level-scheduled kernels
 over the robot's cached execution plan (:mod:`repro.dynamics.plan`), so
 a 256-task batch costs one sweep per tree *depth level* with all
 independent branches fused, on a preallocated workspace.  Pass
-``engine="vectorized"`` (per-link batch kernels) or ``engine="loop"``
-(per-task reference) to :class:`~repro.serve.DynamicsService` to
-compare; results are identical to 1e-10 and the serving engine is
-recorded per batch in the metrics (see ``benchmarks/bench_plan.py`` and
-``benchmarks/bench_engine.py``).
+``engine="loop"`` (per-task reference) to
+:class:`~repro.serve.DynamicsService` to compare; results are identical
+to 1e-10 and the serving engine is recorded per batch in the metrics
+(see ``benchmarks/bench_plan.py``).
 
 Run with ``PYTHONPATH=src python examples/serving.py``.
 """

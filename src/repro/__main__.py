@@ -73,8 +73,7 @@ def cmd_engines(_args: argparse.Namespace) -> int:
     default = default_engine_name()
     notes = {
         "loop": "per-task scalar reference",
-        "vectorized": "batch-native kernels, host numpy",
-        "compiled": "structure-compiled plans (serve default); "
+        "compiled": "structure-compiled plans (default); "
                     "in-place backends",
         "process": f"worker-process pool ({cores} core"
                    f"{'s' if cores != 1 else ''} available)",

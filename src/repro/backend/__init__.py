@@ -3,8 +3,8 @@
 Dadu-RBD's datapath is structure-specialized but *operand-agnostic*: the
 same pipelines serve every Table-I function because the schedule, not the
 ALUs, encodes the robot.  The host-side analogue is that our kernels —
-the spatial algebra, the vectorized engine and the compiled execution
-plans — are written against a ~20-op array vocabulary (einsum with
+the spatial algebra, the compiled execution plans and their functional
+mirrors — are written against a ~20-op array vocabulary (einsum with
 precomputed paths, matmul, solve/cholesky, scatter/gather by flat index,
 stack/where) that NumPy, CuPy and JAX all speak.  This package is the
 shim those layers import instead of numpy:
@@ -55,8 +55,8 @@ class BackendCapabilities:
 
     ``inplace``
         Arrays support in-place mutation (``a[i] = v``, ``+=`` views).
-        The vectorized and compiled engines require this for their
-        preallocated workspaces.
+        The compiled engine requires this for its preallocated
+        workspaces.
     ``device``
         Where the arrays live (``"cpu"`` or ``"gpu"``); serve placement
         uses it for throughput hints only.

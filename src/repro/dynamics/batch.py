@@ -3,13 +3,11 @@
 The paper's workloads are *batched*: 256 independent tasks per call
 (Section VI-A), one per MPC sampling point.  This module is the dispatch
 layer over :mod:`repro.dynamics.engine`: callers hand in task-major arrays
-(:class:`BatchStates`) and pick an engine — ``"compiled"`` replays the
-robot's structure-compiled execution plan (:mod:`repro.dynamics.plan`,
-level-scheduled recursions over preallocated workspaces; the serve
-default), ``"vectorized"`` runs batch-native kernels that loop over links
-but apply every link-step to the whole batch at once (the GRiD layout),
-and ``"loop"`` is the per-task scalar reference used for equivalence
-testing.
+(:class:`BatchStates`) and pick an engine — ``"compiled"`` (the
+default) replays the robot's structure-compiled execution plan
+(:mod:`repro.dynamics.plan`, level-scheduled recursions over
+preallocated workspaces), and ``"loop"`` is the per-task scalar
+reference used for equivalence testing.
 
 All seven Table-I functions dispatch through the engine, so a service
 layer (``repro.serve``) can fan independent requests into one engine call

@@ -3,29 +3,22 @@
 The paper's workloads are batched (256 independent tasks per call, Section
 VI-A) and its accelerator keeps every pipeline stage busy across the batch.
 This module is the host-side analogue, following the layout GRiD and the
-batched-PyTorch RBD work use on GPUs: **the recursion stays over links, but
-every link-step operates on the whole batch at once** — one ``(n, ...)``
+batched-PyTorch RBD work use on GPUs: **the recursion stays over the tree,
+but every step operates on the whole batch at once** — one ``(n, ...)``
 einsum/matmul per step instead of ``n`` Python-level recursions.
 
-Four interchangeable engines implement the same batched interface:
+Interchangeable engines implement the same batched interface:
 
 * :class:`LoopEngine` (``"loop"``) — the reference: per-task loops over the
   scalar kernels in :mod:`repro.dynamics.rnea` / ``mminv`` /
   ``derivatives``.  Trivially correct, GIL-bound, O(n) Python overhead.
-* :class:`VectorizedEngine` (``"vectorized"``) — batch-native kernels built
-  on the broadcasting spatial layer.  Joint transforms are computed once
-  per batch (:meth:`repro.model.robot.RobotModel.batch_parent_transforms`)
-  and shared between the bias, mass-matrix and derivative recursions of a
-  single call (e.g. FD reuses one transform stack for both its RNEA and
-  MMinvGen halves).  Every contraction runs with a cached
-  ``einsum_path`` (:func:`repro.dynamics.plan.cached_einsum`).
 * :class:`CompiledEngine` (``"compiled"``) — structure-compiled kernels on
   per-robot execution plans (:mod:`repro.dynamics.plan`): the recursion is
   scheduled by tree *depth level* rather than by link, so independent
   branches advance in one fused ``(n, L_d, ...)`` op per level, with
   flattened index arrays, precomputed selector stacks and per-thread
-  preallocated workspaces.  The fastest single-process engine on branched
-  robots and the serve runtime's default.  Takes an optional *backend*
+  preallocated workspaces.  The fastest single-process engine and the
+  process-wide default.  Takes an optional *backend*
   (:mod:`repro.backend`): ``CompiledEngine(backend="cupy")`` resolves
   device-resident plans.
 * ``ProcessEngine`` (``"process"``, :mod:`repro.dynamics.process`) — a
@@ -33,15 +26,14 @@ Four interchangeable engines implement the same batched interface:
   runs the compiled engine in every worker: multi-core scale-out for the
   small-batch/many-request regime where numpy ops are too short to
   release the GIL.  Registered lazily (workers only start on first use).
+* ``JitEngine`` (``"jit"``, :mod:`repro.dynamics.jit`) — the functional
+  kernels of :mod:`repro.dynamics.functional`, trace-compiled per robot
+  structure on jax and run interpreted on numpy.
 
 Engines are selected per call (``engine="loop"``) or process-wide via
 :func:`set_default_engine` / the ``REPRO_ENGINE`` environment variable; the
 serve runtime records which engine executed each batch in its metrics.
 The registry is thread-safe and extensible via :func:`register_engine`.
-
-Array math routes through :mod:`repro.backend` — the vectorized kernels
-dispatch on their operands' namespace, so device arrays flow through the
-same code path as host numpy.
 """
 
 from __future__ import annotations
@@ -51,11 +43,9 @@ import threading
 from abc import ABC, abstractmethod
 from typing import Callable
 
-from repro.backend import array_namespace, host_backend
-from repro.dynamics.mminv import _symmetrize_from_rows
-from repro.dynamics.plan import cached_einsum, plan_for
+from repro.backend import host_backend
+from repro.dynamics.plan import plan_for
 from repro.model.robot import RobotModel
-from repro.spatial.motion import crf, crf_bar, crm, cross_force, cross_motion
 
 #: Host namespace (via the backend shim): the loop engine's scalar
 #: kernels and the f_ext normalization are host-side by construction.
@@ -235,316 +225,6 @@ class LoopEngine(Engine):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized engine: loop over links, broadcast over tasks
-# ---------------------------------------------------------------------------
-
-
-def _rnea_batch(
-    model: RobotModel,
-    q: np.ndarray,
-    qd: np.ndarray,
-    qdd: np.ndarray,
-    f_ext: BatchFExt | None,
-    xs: list[np.ndarray],
-    *,
-    apply_gravity: bool = True,
-    return_internals: bool = False,
-):
-    """Batched Algorithm 1 over precomputed ``(n, 6, 6)`` transforms.
-
-    Mirrors :func:`repro.dynamics.rnea.rnea` step for step; each line is one
-    vectorized array op across the batch.
-    """
-    n = q.shape[0]
-    nb = model.nb
-    subspaces = model.motion_subspaces()
-    a_world = -model.gravity if apply_gravity else np.zeros(6)
-
-    velocities: list[np.ndarray] = [None] * nb       # each (n, 6)
-    accelerations: list[np.ndarray] = [None] * nb
-    forces: list[np.ndarray] = [None] * nb
-
-    for i in range(nb):
-        link = model.links[i]
-        sl = model.dof_slice(i)
-        x = xs[i]
-        s = subspaces[i]
-        vj = qd[:, sl] @ s.T                         # (n, 6)
-        aj = qdd[:, sl] @ s.T
-        if link.parent < 0:
-            v = vj
-            a = x @ a_world + aj
-        else:
-            v = cached_einsum("nij,nj->ni", x, velocities[link.parent]) + vj
-            a = (cached_einsum("nij,nj->ni", x, accelerations[link.parent])
-                 + aj + cross_motion(v, vj))
-        inertia = link.inertia.matrix()
-        f = a @ inertia.T + cross_force(v, v @ inertia.T)
-        if f_ext and i in f_ext:
-            f = f - f_ext[i]
-        velocities[i] = v
-        accelerations[i] = a
-        forces[i] = f
-
-    tau = np.zeros((n, model.nv))
-    acc = [f.copy() for f in forces]
-    for i in range(nb - 1, -1, -1):
-        link = model.links[i]
-        s = subspaces[i]
-        tau[:, model.dof_slice(i)] = acc[i] @ s
-        if link.parent >= 0:
-            acc[link.parent] += cached_einsum("nji,nj->ni", xs[i], acc[i])
-
-    if return_internals:
-        return tau, (velocities, accelerations, acc)
-    return tau
-
-
-def _mminvgen_batch(
-    model: RobotModel,
-    q: np.ndarray,
-    xs: list[np.ndarray],
-    *,
-    out_minv: bool,
-) -> np.ndarray:
-    """Batched Algorithm 2 (MMinvGen): ``M`` or ``Minv`` per task.
-
-    The link recursion and lazy parent updates follow
-    :func:`repro.dynamics.mminv.mminvgen`; every matrix product carries the
-    leading task axis.
-    """
-    n = q.shape[0]
-    nb, nv = model.nb, model.nv
-    subspaces = model.motion_subspaces()
-    dof_cols = [
-        [d for j in model.subtree(i)
-         for d in range(model.dof_slice(j).start, model.dof_slice(j).stop)]
-        for i in range(nb)
-    ]
-
-    inertia_acc = [
-        np.broadcast_to(link.inertia.matrix(), (n, 6, 6)).copy()
-        for link in model.links
-    ]
-    f_acc = [np.zeros((n, 6, nv)) for _ in range(nb)]
-    out = np.zeros((n, nv, nv))
-    d_inv: list[np.ndarray] = [None] * nb
-    u_store: list[np.ndarray] = [None] * nb
-
-    # Backward sweep (Mb_i submodules).
-    for i in range(nb - 1, -1, -1):
-        x = xs[i]
-        s = subspaces[i]
-        sl = model.dof_slice(i)
-        u = inertia_acc[i] @ s                       # (n, 6, nv_i)
-        d = s.T @ u                                  # (n, nv_i, nv_i)
-        u_store[i] = u
-
-        strict_cols = [c for c in dof_cols[i] if c < sl.start or c >= sl.stop]
-        if out_minv:
-            d_inv[i] = np.linalg.inv(d)
-            out[:, sl, sl] = d_inv[i]
-            if strict_cols:
-                out[:, sl, strict_cols] = (
-                    -d_inv[i] @ (s.T @ f_acc[i][:, :, strict_cols])
-                )
-        else:
-            out[:, sl, sl] = d
-            if strict_cols:
-                out[:, sl, strict_cols] = s.T @ f_acc[i][:, :, strict_cols]
-
-        parent = model.parent(i)
-        if parent >= 0:
-            cols = dof_cols[i]
-            if out_minv:
-                f_acc[i][:, :, cols] += u @ out[:, sl, cols]
-                inertia_acc[i] = (
-                    inertia_acc[i] - u @ d_inv[i] @ np.swapaxes(u, -1, -2)
-                )
-            else:
-                f_acc[i][:, :, sl] = u
-            xt = np.swapaxes(x, -1, -2)
-            f_acc[parent][:, :, cols] += xt @ f_acc[i][:, :, cols]
-            inertia_acc[parent] += xt @ inertia_acc[i] @ x
-
-    if not out_minv:
-        return _symmetrize_from_rows(out, np)
-
-    # Forward sweep (Mf_i submodules).
-    p_prop = [np.zeros((n, 6, nv)) for _ in range(nb)]
-    for i in range(nb):
-        x = xs[i]
-        s = subspaces[i]
-        sl = model.dof_slice(i)
-        right = slice(sl.start, nv)
-        parent = model.parent(i)
-        if parent >= 0:
-            out[:, sl, right] -= (
-                d_inv[i] @ np.swapaxes(u_store[i], -1, -2)
-                @ x @ p_prop[parent][:, :, right]
-            )
-        p_prop[i][:, :, right] = s @ out[:, sl, right]
-        if parent >= 0:
-            p_prop[i][:, :, right] += x @ p_prop[parent][:, :, right]
-
-    return _symmetrize_from_rows(out, np)
-
-
-def _rnea_derivatives_batch(
-    model: RobotModel,
-    q: np.ndarray,
-    qd: np.ndarray,
-    qdd: np.ndarray,
-    f_ext: BatchFExt | None,
-    xs: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched analytical dRNEA over precomputed transforms.
-
-    Mirrors :func:`repro.dynamics.derivatives.rnea_derivatives`; the
-    derivative transfers become ``(n, 6, nv)`` stacks.
-    """
-    n = q.shape[0]
-    nb, nv = model.nb, model.nv
-    _, (velocities, _accelerations, forces) = _rnea_batch(
-        model, q, qd, qdd, f_ext, xs, return_internals=True
-    )
-    # Re-run the forward recursion's parent quantities for the derivative
-    # sweep; accelerations of the parents come from the internals.
-    accelerations = _accelerations
-    subspaces = model.motion_subspaces()
-    a_world = -model.gravity
-
-    dv_dq = [np.zeros((n, 6, nv)) for _ in range(nb)]
-    dv_dqd = [np.zeros((n, 6, nv)) for _ in range(nb)]
-    da_dq = [np.zeros((n, 6, nv)) for _ in range(nb)]
-    da_dqd = [np.zeros((n, 6, nv)) for _ in range(nb)]
-    df_dq = [None] * nb
-    df_dqd = [None] * nb
-
-    # Forward sweep (Df_i submodules): propagate d_u v and d_u a.
-    for i in range(nb):
-        link = model.links[i]
-        x = xs[i]
-        s = subspaces[i]
-        sl = model.dof_slice(i)
-        parent = link.parent
-        vj = qd[:, sl] @ s.T
-        v_i = velocities[i]
-
-        if parent < 0:
-            xa = x @ a_world
-            da_dq[i][:, :, sl] += crm(xa) @ s
-        else:
-            xv = cached_einsum("nij,nj->ni", x, velocities[parent])
-            xa = cached_einsum("nij,nj->ni", x, accelerations[parent])
-            dv_dq[i] = x @ dv_dq[parent]
-            dv_dq[i][:, :, sl] += crm(xv) @ s
-            dv_dqd[i] = x @ dv_dqd[parent]
-            da_dq[i] = x @ da_dq[parent]
-            da_dq[i][:, :, sl] += crm(xa) @ s
-            da_dqd[i] = x @ da_dqd[parent]
-        dv_dqd[i][:, :, sl] += s
-
-        # a_i includes v_i x vj: differentiate both factors.
-        da_dq[i] += -crm(vj) @ dv_dq[i]
-        da_dqd[i] += -crm(vj) @ dv_dqd[i]
-        da_dqd[i][:, :, sl] += crm(v_i) @ s
-
-        # Local body-force derivative (f_ext is constant).
-        inertia = link.inertia.matrix()
-        gyro = crf_bar(v_i @ inertia.T) + crf(v_i) @ inertia
-        df_dq[i] = inertia @ da_dq[i] + gyro @ dv_dq[i]
-        df_dqd[i] = inertia @ da_dqd[i] + gyro @ dv_dqd[i]
-
-    # Backward sweep (Db_i submodules): accumulate force derivatives.
-    dtau_dq = np.zeros((n, nv, nv))
-    dtau_dqd = np.zeros((n, nv, nv))
-    for i in range(nb - 1, -1, -1):
-        link = model.links[i]
-        s = subspaces[i]
-        sl = model.dof_slice(i)
-        dtau_dq[:, sl, :] = s.T @ df_dq[i]
-        dtau_dqd[:, sl, :] = s.T @ df_dqd[i]
-        parent = link.parent
-        if parent >= 0:
-            x = xs[i]
-            back_q = df_dq[i].copy()
-            # d(X^T f)/dq_i adds X^T (S_k x* f_i) to the joint's own column,
-            # with f_i the accumulated force (the paper's btr term).
-            f_acc = forces[i]
-            for k in range(link.joint.nv):
-                back_q[:, :, sl.start + k] += cross_force(s[:, k], f_acc)
-            xt = np.swapaxes(x, -1, -2)
-            df_dq[parent] += xt @ back_q
-            df_dqd[parent] += xt @ df_dqd[i]
-    return dtau_dq, dtau_dqd
-
-
-class VectorizedEngine(Engine):
-    """Batch-native kernels: one array op per link-step, whole batch wide.
-
-    Each public method computes the per-link joint-transform stacks once
-    and shares them across every recursion the function needs (bias, Minv,
-    derivatives) — the Schedule Module's operand reuse, host-side.
-    """
-
-    name = "vectorized"
-
-    def id_batch(self, model, q, qd, qdd, f_ext=None):
-        xs = model.batch_parent_transforms(q)
-        return _rnea_batch(model, q, qd, qdd, f_ext, xs)
-
-    def m_batch(self, model, q):
-        xs = model.batch_parent_transforms(q)
-        return _mminvgen_batch(model, q, xs, out_minv=False)
-
-    def minv_batch(self, model, q):
-        xs = model.batch_parent_transforms(q)
-        return _mminvgen_batch(model, q, xs, out_minv=True)
-
-    def fd_batch(self, model, q, qd, tau, f_ext=None):
-        xs = model.batch_parent_transforms(q)
-        bias = _rnea_batch(model, q, qd, np.zeros_like(q), f_ext, xs)
-        minv = _mminvgen_batch(model, q, xs, out_minv=True)
-        return cached_einsum("nij,nj->ni", minv, tau - bias)
-
-    def did_batch(self, model, q, qd, qdd, f_ext=None):
-        xs = model.batch_parent_transforms(q)
-        return _rnea_derivatives_batch(model, q, qd, qdd, f_ext, xs)
-
-    def dfd_batch(self, model, q, qd, tau, f_ext=None):
-        xs = model.batch_parent_transforms(q)
-        bias = _rnea_batch(model, q, qd, np.zeros_like(q), f_ext, xs)
-        minv = _mminvgen_batch(model, q, xs, out_minv=True)
-        qdd = cached_einsum("nij,nj->ni", minv, tau - bias)
-        dtau_dq, dtau_dqd = _rnea_derivatives_batch(
-            model, q, qd, qdd, f_ext, xs
-        )
-        return (
-            qdd,
-            -cached_einsum("nij,njk->nik", minv, dtau_dq),
-            -cached_einsum("nij,njk->nik", minv, dtau_dqd),
-            minv,
-        )
-
-    def difd_batch(self, model, q, qd, qdd, minv=None, f_ext=None):
-        xs = model.batch_parent_transforms(q)
-        if minv is None:
-            minv = _mminvgen_batch(model, q, xs, out_minv=True)
-        else:
-            minv = np.asarray(minv, dtype=float)
-        dtau_dq, dtau_dqd = _rnea_derivatives_batch(
-            model, q, qd, qdd, f_ext, xs
-        )
-        return (
-            np.asarray(qdd, dtype=float),
-            -cached_einsum("nij,njk->nik", minv, dtau_dq),
-            -cached_einsum("nij,njk->nik", minv, dtau_dqd),
-            minv,
-        )
-
-
-# ---------------------------------------------------------------------------
 # Compiled engine: level-scheduled kernels over per-robot execution plans
 # ---------------------------------------------------------------------------
 
@@ -559,7 +239,7 @@ class CompiledEngine(Engine):
     at the same tree depth advance in one fused ``(n, L_d, ...)`` array op,
     transforms refresh in one op per joint kind, and the big recursion
     stacks never reallocate in steady state.  Numerically interchangeable
-    with the other engines (same 1e-10 equivalence contract).
+    with the ``loop`` reference (same 1e-10 equivalence contract).
 
     ``backend`` selects the array backend the plans execute on
     (:mod:`repro.backend`); ``None`` follows the process-wide default
@@ -631,7 +311,6 @@ def _make_jit_engine() -> Engine:
 #: engines it does not use (and never forks/spawns anything).
 _ENGINE_FACTORIES: dict[str, Callable[[], Engine]] = {
     LoopEngine.name: LoopEngine,
-    VectorizedEngine.name: VectorizedEngine,
     CompiledEngine.name: CompiledEngine,
     "process": _make_process_engine,
     "jit": _make_jit_engine,
@@ -654,18 +333,7 @@ def register_engine(name: str, factory: Callable[[], Engine]) -> None:
 #: Process-wide default, overridable via the REPRO_ENGINE env var.  A bad
 #: env value is reported lazily (first use) so importing the package never
 #: fails for commands that touch no engine.
-_default_engine_name = os.environ.get("REPRO_ENGINE", VectorizedEngine.name)
-
-#: True once the user pinned the default (REPRO_ENGINE env var or
-#: set_default_engine).  Layers with their own fallback default — the
-#: serve runtime prefers "compiled" — consult this to know whether the
-#: process default is an explicit user choice they must honour.
-_default_engine_explicit = "REPRO_ENGINE" in os.environ
-
-
-def default_engine_explicit() -> bool:
-    """Whether the process default was pinned by the user."""
-    return _default_engine_explicit
+_default_engine_name = os.environ.get("REPRO_ENGINE", CompiledEngine.name)
 
 
 def available_engines() -> tuple[str, ...]:
@@ -687,26 +355,24 @@ def default_engine_name() -> str:
 
 
 def set_default_engine(name: str | None) -> None:
-    """Set the process-wide default engine (``"loop"``, ``"vectorized"`` or
-    ``"compiled"``) and pin it against layer-specific fallbacks.
+    """Set the process-wide default engine (e.g. ``"loop"`` or
+    ``"compiled"``).
 
-    Passing ``None`` un-pins the default, restoring the REPRO_ENGINE env
-    var (or the built-in fallback) — mainly for tests that must not leak
-    a pinned default into later tests.
+    Passing ``None`` restores the REPRO_ENGINE env var (or the built-in
+    ``"compiled"``) — mainly for tests that must not leak a changed
+    default into later tests.
     """
-    global _default_engine_name, _default_engine_explicit
+    global _default_engine_name
     if name is None:
         _default_engine_name = os.environ.get(
-            "REPRO_ENGINE", VectorizedEngine.name
+            "REPRO_ENGINE", CompiledEngine.name
         )
-        _default_engine_explicit = "REPRO_ENGINE" in os.environ
         return
     if name not in _ENGINE_FACTORIES:
         raise KeyError(
             f"unknown engine {name!r}; known engines: {available_engines()}"
         )
     _default_engine_name = name
-    _default_engine_explicit = True
 
 
 def get_engine(engine: str | Engine | None = None) -> Engine:
@@ -741,10 +407,7 @@ __all__ = [
     "CompiledEngine",
     "Engine",
     "LoopEngine",
-    "VectorizedEngine",
-    "cached_einsum",
     "available_engines",
-    "default_engine_explicit",
     "default_engine_name",
     "get_engine",
     "normalize_f_ext",

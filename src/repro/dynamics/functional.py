@@ -24,10 +24,14 @@ any backend: with numpy the kernels run interpreted (the correctness
 reference CI exercises everywhere), with jax each Table-I function
 traces into one fused XLA program via :meth:`ArrayBackend.jit`.
 
-Numerically the sweeps mirror the dense plan kernels step for step
-(same windows ``[col_start, nv)``, same group branches, same
-symmetrization), so equivalence against the ``loop`` engine holds at
-the suite's 1e-10 tolerance on every library robot.
+The mass-matrix and derivative sweeps here still use the *column-order*
+(dense-window) layout — MMinvGen at windows ``[col_start, nv)``, the
+derivative transfers at full ``nv`` width — and are now the only
+dense-window sweeps in the package: :class:`ExecutionPlan` runs the
+packed column layout only.  Porting them onto the packed layout is open
+work (on numpy the interpreted jit engine trails ``compiled`` most on
+branched Minv, e.g. hyq).  Equivalence against the ``loop`` engine holds
+at the suite's 1e-10 tolerance on every library robot.
 """
 
 from __future__ import annotations

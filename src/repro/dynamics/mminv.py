@@ -121,8 +121,8 @@ def _symmetrize_from_rows(out: np.ndarray, xp=np) -> np.ndarray:
 
     Accepts one ``(nv, nv)`` matrix or an ``(n, nv, nv)`` batch, and an
     optional array namespace — the single implementation shared by this
-    scalar reference, the vectorized engine and the backend-portable
-    compiled plans (which pass their plan backend's ``xp``).
+    scalar reference, the compiled plans and the functional kernels
+    (which pass their backend's ``xp``).
     """
     upper = xp.triu(out)
     diag = xp.diagonal(upper, axis1=-2, axis2=-1)

@@ -24,11 +24,16 @@ built once per :class:`~repro.model.robot.RobotModel` (from the model plus
   one-DOF common case compiled to broadcast multiplies and paired index
   writes instead of matrix products (the paper's ``s_one_hot`` selection
   wiring);
-* **column windows** — the mass-matrix sweeps touch only the DOF columns
-  a level's links can reach (own-and-descendants), the host-side version
-  of the paper's incremental column vectors (Fig 7b);
+* **a packed column layout** — the DOF-column axis of the mass-matrix
+  and derivative sweeps is permuted into slot order, so each level's
+  subtree columns (backward sweeps) and path columns (forward sweeps)
+  are one contiguous window and every step runs at exactly that width,
+  the host-side version of the paper's incremental column vectors
+  (Fig 7b).  It is the only layout: like the paper's SAPS, it adapts to
+  the robot's structure rather than to a user-set mode;
 * **precomputed einsum paths** — every contraction in the Table-I kernels
-  runs with a cached ``einsum_path`` (see :func:`cached_einsum`);
+  runs through the backend's ``einsum``, which caches each expression's
+  ``einsum_path``;
 * **a reusable workspace** — per-thread, preallocated transform /
   velocity / force / derivative stacks sized ``(n_max, n_links, ...)``,
   so steady-state calls never reallocate the O(n·links) recursion state
@@ -44,8 +49,8 @@ link axis is permuted.
 Forward dynamics runs as a level-scheduled articulated-body pass (three
 O(links) sweeps, no ``nv``-column state at all), which the seed validates
 against the paper's ``Minv @ (tau - C)`` substitution; the derivative
-kernels carry their d/dq and d/dqd operands in one paired column block so
-each level step is a single wide contraction.
+kernels carry their d/dq and d/dqd operands on one leading block axis so
+each level step is a single broadcast contraction.
 
 :func:`plan_for` memoizes plans per model *and backend* (weakly over
 models, so they can be collected); the ``"compiled"`` engine in
@@ -81,19 +86,6 @@ from repro.spatial.motion import crf, crf_bar, crm, cross_force, cross_motion
 #: bookkeeping — always runs on the host; only the finished constant
 #: stacks are placed on the plan's execution backend.
 np = host_backend().xp
-_HOST = host_backend()
-
-
-def cached_einsum(expr: str, *ops, out=None):
-    """Host ``einsum`` with a memoized ``einsum_path``.
-
-    Thin wrapper over the numpy backend's :meth:`ArrayBackend.einsum`
-    (which owns the path cache).  Kept as a module-level function because
-    the ``"vectorized"`` engine and older call sites import it from here;
-    plan kernels use their own backend's ``einsum`` so device plans
-    contract on the device.
-    """
-    return _HOST.einsum(expr, *ops, out=out)
 
 
 def _mv(x, v):
@@ -152,7 +144,8 @@ class PlanLevel:
     groups: tuple[LevelGroup, ...]
     sel: np.ndarray          # (L, 6, nv) expanded subspace selectors
     btr: np.ndarray          # (L, nv, 6, 6) crf(S_col) at own DOF columns
-    col_start: int           # min own-DOF start (backward MMinvGen window)
+    col_start: int           # min own-DOF start (the functional kernels'
+                             # column-order MMinvGen window)
 
     @property
     def size(self) -> int:
@@ -183,8 +176,7 @@ class PackedLevel:
     level's suffix start: the parent prefix nests inside the child's, so
     forward propagation is one matmul at width ``wp`` plus a zero-fill
     of the ``[wp, w)`` gap, and child suffixes nest inside the parent's,
-    so backward accumulation reuses the dense scatter at the tighter
-    window.  ``own_pos`` gives, per :class:`LevelGroup`, each link's own
+    so backward accumulation scatters at the tighter window.  ``own_pos`` gives, per :class:`LevelGroup`, each link's own
     DOF columns in the packed layout — the owned columns the sweeps
     scatter results back to.
     """
@@ -240,39 +232,6 @@ class TransformGroup:
     qslices: tuple = ()      # per-link q slices ("generic" only)
 
 
-def default_workspace_shapes(nb: int, nv: int) -> dict:
-    """Buffer-group shape table for an *unpacked* plan workspace.
-
-    A packed plan (:class:`PackedLevel`) swaps the dense ``mminv`` /
-    ``deriv`` column stacks for per-level packed slabs; everything else
-    is shared.
-    """
-    return {
-        "x": {"X": (nb, 6, 6)},
-        "rnea": {
-            "vj": (nb, 6), "aj": (nb, 6), "v": (nb, 6), "a": (nb, 6),
-            "xv": (nb, 6), "xa": (nb, 6), "f": (nb, 6),
-            "tau": (nv,),
-        },
-        # Articulated/composite inertias, shared by the ABA and
-        # MMinvGen kernels (each fully reinitializes the stack).
-        "ia": {"IA": (nb, 6, 6)},
-        "mminv": {
-            "f_acc": (nb, 6, nv),
-            "out": (nv, nv), "p_prop": (nb, 6, nv),
-        },
-        "deriv": {
-            "DVA": (nb, 6, 4 * nv), "DF": (nb, 6, 2 * nv),
-            "dtau_q": (nv, nv), "dtau_qd": (nv, nv),
-        },
-    }
-
-
-def _scratch_view(buf, n: int, L: int, width: int):
-    """A contiguous ``(n, L, 6, width)`` view over a flat scratch buffer."""
-    return buf.reshape(-1)[: n * L * 6 * width].reshape(n, L, 6, width)
-
-
 def _scratch_view5(buf, n: int, L: int, nb: int, width: int):
     """A contiguous ``(n, L, nb, 6, width)`` block-axis view over a flat
     scratch buffer."""
@@ -287,17 +246,15 @@ class PlanWorkspace:
     runs FD never pays for the derivative stacks) and reused across calls:
     ``ensure`` only reallocates when a batch exceeds every batch seen
     before, so steady-state traffic runs allocation-free on the big
-    ``(n_max, n_links, ...)`` stacks.  The derivative stacks hold the
-    d/dq and d/dqd operands side by side (``2 * nv`` columns) so both
-    propagate through one contraction per level.
+    ``(n_max, n_links, ...)`` stacks.  ``shapes`` maps each group name
+    to its ``{buffer: per-task shape}`` table
+    (:meth:`ExecutionPlan._workspace_shapes`).
     """
 
-    def __init__(self, nb: int, nv: int,
-                 backend: ArrayBackend | None = None,
-                 shapes: dict | None = None) -> None:
+    def __init__(self, shapes: dict,
+                 backend: ArrayBackend | None = None) -> None:
         self._backend = backend or host_backend()
-        self._shapes = default_workspace_shapes(nb, nv) if shapes is None \
-            else shapes
+        self._shapes = shapes
         self.capacity = 0
         self._allocated: set[str] = set()
 
@@ -340,24 +297,11 @@ class ExecutionPlan:
     :mod:`repro.dynamics.engine`.
     """
 
-    #: Packing policy values: ``"auto"`` packs branched topologies (where
-    #: the level unions are strictly narrower than the dense windows and
-    #: wide levels amortize the gathers), ``"always"`` / ``"never"``
-    #: force it either way (``"never"`` is the packed-vs-dense baseline
-    #: the benches compare against).
-    PACKING_MODES = ("auto", "always", "never")
-
     def __init__(self, model: RobotModel,
-                 backend: str | ArrayBackend | None = None, *,
-                 packing: str = "auto") -> None:
+                 backend: str | ArrayBackend | None = None) -> None:
         # Only scalars/arrays/joint objects are captured from the model —
         # no back-reference — so the weak plan cache can actually collect
         # a transient model together with its plan.
-        if packing not in self.PACKING_MODES:
-            raise ValueError(
-                f"unknown packing mode {packing!r}; "
-                f"choose from {self.PACKING_MODES}"
-            )
         self.backend = get_backend(backend)
         if not self.backend.capabilities.inplace:
             raise BackendCapabilityError(
@@ -370,7 +314,7 @@ class ExecutionPlan:
         self._xp = self.backend.xp
         self._ein = self.backend.einsum
         #: Writable strided-view constructor (numpy and cupy expose one);
-        #: packed kernels fall back to fancy-index writes without it.
+        #: the kernels fall back to fancy-index writes without it.
         _st = getattr(getattr(self._xp, "lib", None), "stride_tricks",
                       None)
         self._as_strided = getattr(_st, "as_strided", None)
@@ -413,10 +357,7 @@ class ExecutionPlan:
         self.levels = self._build_levels(model, subspaces, starts, stops)
         self.transform_groups = self._build_transform_groups(model, order)
 
-        self.packing = packing
-        self.packed_levels = self._build_packing(model, starts, stops,
-                                                 packing)
-        self.packed = self.packed_levels is not None
+        self.packed_levels = self._build_packing(starts, stops)
         self._ws_shapes = self._workspace_shapes()
 
         self.minus_gravity = -np.asarray(model.gravity, dtype=float)
@@ -468,27 +409,26 @@ class ExecutionPlan:
             )
             for g in self.transform_groups
         )
-        if self.packed:
-            opt = lambda a: None if a is None else dev(a)  # noqa: E731
-            self.col_perm = dev(self.col_perm)
-            self.col_pos = dev(self.col_pos)
-            self.gyro_t = dev(self.gyro_t)
-            if self._k1 is not None:
-                self._k1 = {**self._k1,
-                            "axis": dev(self._k1["axis"]),
-                            "axis_nr": dev(self._k1["axis_nr"])}
-            self.packed_levels = tuple(
-                _dc_replace(
-                    pk,
-                    prel=opt(pk.prel),
-                    own_pos=tuple(dev(p) for p in pk.own_pos),
-                    sel_packed=opt(pk.sel_packed),
-                    btr_packed=opt(pk.btr_packed),
-                    dfz=(dev(pk.dfz)
-                         if isinstance(pk.dfz, np.ndarray) else pk.dfz),
-                )
-                for pk in self.packed_levels
+        opt = lambda a: None if a is None else dev(a)  # noqa: E731
+        self.col_perm = dev(self.col_perm)
+        self.col_pos = dev(self.col_pos)
+        self.gyro_t = dev(self.gyro_t)
+        if self._k1 is not None:
+            self._k1 = {**self._k1,
+                        "axis": dev(self._k1["axis"]),
+                        "axis_nr": dev(self._k1["axis_nr"])}
+        self.packed_levels = tuple(
+            _dc_replace(
+                pk,
+                prel=opt(pk.prel),
+                own_pos=tuple(dev(p) for p in pk.own_pos),
+                sel_packed=opt(pk.sel_packed),
+                btr_packed=opt(pk.btr_packed),
+                dfz=(dev(pk.dfz)
+                     if isinstance(pk.dfz, np.ndarray) else pk.dfz),
             )
+            for pk in self.packed_levels
+        )
 
     # ------------------------------------------------------------------
     # Compilation
@@ -625,7 +565,7 @@ class ExecutionPlan:
             ))
         return tuple(groups)
 
-    def _build_packing(self, model, starts, stops, packing):
+    def _build_packing(self, starts, stops):
         """Compile the packed column layout (Fig 7b's column vectors).
 
         Packing permutes the *internal* DOF-column axis into slot order
@@ -633,16 +573,12 @@ class ExecutionPlan:
         by depth, the per-level column unions the sweeps need become
         contiguous runs of the permuted layout — prefix ``[0, w)`` for
         the path union, suffix ``[wp, nv)`` for the subtree union — so
-        the packed kernels are the dense kernels at tighter basic-sliced
-        windows, with no per-level index gathers.  ``"auto"`` packs only
-        branched topologies: on a serial chain slot order *is* column
-        order and the windows already match the dense ones.
+        the mass-matrix and derivative sweeps run at exactly those
+        basic-sliced windows, with no per-level index gathers.  Every
+        topology packs: on a serial chain slot order *is* column order,
+        and the sweeps still gain the block-axis derivative slabs, the
+        fused one-DOF bundle and the permuted-row output writes.
         """
-        self.col_perm = self.col_pos = self.gyro_t = None
-        self._k1 = None
-        if packing == "never" or (packing == "auto"
-                                  and self.n_branches <= 1):
-            return None
         nv = self.nv
         perm = np.concatenate([
             np.arange(starts[int(i)], stops[int(i)])
@@ -771,27 +707,38 @@ class ExecutionPlan:
         return tuple(packed)
 
     def _workspace_shapes(self) -> dict:
-        """This plan's workspace shape table (packed plans swap the dense
-        ``deriv`` transfer stack for per-level packed slabs plus two flat
-        scratch buffers for the forward-sweep propagation)."""
+        """Buffer-group shape table of this plan's workspace."""
         nb, nv = self.nb, self.nv
-        shapes = default_workspace_shapes(nb, nv)
-        if not self.packed:
-            return shapes
-        # Packed derivative state is block-axis: the [dv/dq | dv/dqd |
-        # da/dq | da/dqd] stacks (and the [df/dq | df/dqd] pair) live on a
-        # leading block dimension instead of side-by-side columns, so
-        # parent propagation broadcasts one matmul straight into the
-        # destination blocks with no interleaved slice-copy pass.
-        dv = {"DF": (nb, 2, 6, nv), "DOp": (nb, 6, 12),
-              "dtau_q": (nv, nv), "dtau_qd": (nv, nv)}
+        # Derivative state is block-axis: the [dv/dq | dv/dqd | da/dq |
+        # da/dqd] stacks (and the [df/dq | df/dqd] pair) live on a leading
+        # block dimension, so parent propagation broadcasts one matmul
+        # straight into the destination blocks.  Each level gets its own
+        # packed slab at its prefix width, plus two flat scratch buffers
+        # for the forward-sweep propagation.
+        deriv = {"DF": (nb, 2, 6, nv), "DOp": (nb, 6, 12),
+                 "dtau_q": (nv, nv), "dtau_qd": (nv, nv)}
         scratch = 6 * 4 * nv
         for lvl, pk in zip(self.levels, self.packed_levels):
-            dv[f"Dp{lvl.index}"] = (lvl.size, 4, 6, pk.w)
+            deriv[f"Dp{lvl.index}"] = (lvl.size, 4, 6, pk.w)
             scratch = max(scratch, lvl.size * 6 * 4 * pk.w)
-        dv["Dscr"] = (scratch,)
-        dv["Dscr2"] = (scratch,)
-        return {**shapes, "deriv": dv}
+        deriv["Dscr"] = (scratch,)
+        deriv["Dscr2"] = (scratch,)
+        return {
+            "x": {"X": (nb, 6, 6)},
+            "rnea": {
+                "vj": (nb, 6), "aj": (nb, 6), "v": (nb, 6), "a": (nb, 6),
+                "xv": (nb, 6), "xa": (nb, 6), "f": (nb, 6),
+                "tau": (nv,),
+            },
+            # Articulated/composite inertias, shared by the ABA and
+            # MMinvGen kernels (each fully reinitializes the stack).
+            "ia": {"IA": (nb, 6, 6)},
+            "mminv": {
+                "f_acc": (nb, 6, nv),
+                "out": (nv, nv), "p_prop": (nb, 6, nv),
+            },
+            "deriv": deriv,
+        }
 
     # ------------------------------------------------------------------
     # Workspace and staging
@@ -806,8 +753,7 @@ class ExecutionPlan:
         """
         ws = getattr(self._tls, "ws", None)
         if ws is None:
-            ws = PlanWorkspace(self.nb, self.nv, self.backend,
-                               self._ws_shapes)
+            ws = PlanWorkspace(self._ws_shapes, self.backend)
             self._tls.ws = ws
         return ws.ensure(n, "x", *groups)
 
@@ -1115,174 +1061,15 @@ class ExecutionPlan:
 
     def _mminvgen(self, ws: PlanWorkspace, n: int, *,
                   out_minv: bool) -> np.ndarray:
-        """``M`` or ``Minv`` over the staged transforms.
-
-        Dispatches to the packed-column kernel when the plan compiled
-        packed index sets; the dense fallback sweeps the per-level
-        column windows ``[col_start, nv)``.
-        """
-        if self.packed:
-            return self._mminvgen_packed(ws, n, out_minv=out_minv)
-        return self._mminvgen_dense(ws, n, out_minv=out_minv)
-
-    def _mminvgen_dense(self, ws: PlanWorkspace, n: int, *,
-                        out_minv: bool) -> np.ndarray:
-        """Dense-window MMinvGen.
-
-        Column windows: every sweep of a level only touches DOF columns
-        ``[col_start, nv)`` — the columns its links' subtrees own.  Dense
-        level slabs may scribble below a row's own diagonal block, but
-        those entries are structural zeros of the upper form and the final
-        symmetrization reads the upper triangle only.
-        """
-        xp = self._xp
-        t0 = _obs.kernel_begin()
-        X = ws.X[:n]
-        IA, f_acc, out = ws.IA[:n], ws.f_acc[:n], ws.out[:n]
-        IA[:] = self.inertias
-        f_acc[:] = 0.0
-        out[:] = 0.0
-        saved: dict[tuple[int, int], tuple] = {}
-
-        # Backward sweep (Mb submodules).
-        for lvl in reversed(self.levels):
-            lo, hi, w0 = lvl.lo, lvl.hi, lvl.col_start
-            width = self.nv - w0
-            for gi, g in enumerate(lvl.groups):
-                sl = slice(g.lo, g.hi)
-                if g.k == 1:
-                    u = _mv(IA[:, sl], g.axis)               # (n, Lg, 6)
-                    d = xp.einsum("ls,nls->nl", g.axis, u, optimize=False)
-                    stf = self._ein(
-                        "ls,nlsv->nlv", g.axis, f_acc[:, sl, :, w0:]
-                    )
-                    if out_minv:
-                        d_inv = 1.0 / d
-                        out[:, g.rows, w0:] = -(d_inv[..., None] * stf)
-                        out[:, g.rows, g.rows] = d_inv
-                        saved[(lvl.index, gi)] = (u, d_inv)
-                        og = out[:, g.rows, w0:]             # (n, Lg, V)
-                        f_acc[:, sl, :, w0:] += (
-                            u[..., :, None] * og[:, :, None, :]
-                        )
-                        if not lvl.is_root:
-                            IA[:, sl] -= (
-                                d_inv[..., None, None]
-                                * (u[..., :, None] * u[..., None, :])
-                            )
-                    else:
-                        out[:, g.rows, w0:] = stf
-                        out[:, g.rows, g.rows] = d
-                        f_acc[:, g.slots, :, g.dofs[:, 0]] += xp.moveaxis(
-                            u, 1, 0
-                        )
-                else:
-                    u = IA[:, sl] @ g.subspaces              # (n, Lg, 6, k)
-                    d = g.subspaces_t @ u
-                    stf = g.subspaces_t @ f_acc[:, sl, :, w0:]
-                    if out_minv:
-                        d_inv = self.backend.inv(d)
-                        out[:, g.rows, w0:] = (
-                            -(d_inv @ stf)
-                        ).reshape(n, len(g.rows), width)
-                        self._write_diag(out, g, d_inv)
-                        saved[(lvl.index, gi)] = (u, d_inv)
-                        og = out[:, g.rows, w0:].reshape(
-                            n, g.size, g.k, width
-                        )
-                        f_acc[:, sl, :, w0:] += u @ og
-                        if not lvl.is_root:
-                            IA[:, sl] -= (
-                                (u @ d_inv) @ xp.swapaxes(u, -1, -2)
-                            )
-                    else:
-                        out[:, g.rows, w0:] = stf.reshape(
-                            n, len(g.rows), width
-                        )
-                        self._write_diag(out, g, d)
-                        for j in range(g.k):
-                            f_acc[:, g.slots, :, g.dofs[:, j]] += (
-                                xp.moveaxis(u[..., j], 1, 0)
-                            )
-            if not lvl.is_root:
-                xl = X[:, lo:hi]
-                xt = xp.swapaxes(xl, -1, -2)
-                self._scatter_to_parents(
-                    f_acc[:, :, :, w0:], lvl, xt @ f_acc[:, lo:hi, :, w0:]
-                )
-                self._scatter_to_parents(
-                    IA, lvl, (xt @ IA[:, lo:hi]) @ xl
-                )
-
-        if not out_minv:
-            m = _symmetrize_from_rows(out, xp)
-            _obs.kernel_end(t0, self.robot_name, "mminvgen", n)
-            return m
-
-        minv = self._minv_forward(ws, n, saved)
-        _obs.kernel_end(t0, self.robot_name, "mminvgen", n)
-        return minv
-
-    def _minv_forward(self, ws: PlanWorkspace, n: int,
-                      saved: dict) -> np.ndarray:
-        """Forward MMinvGen sweep (Mf submodules), shared by the packed
-        and dense kernels.
-
-        Always dense-windowed: unlike ``M``, the upper triangle of
-        ``Minv`` is dense — propagation fills the cross-branch entries —
-        so there is no subtree structure to pack here.
-        """
-        xp = self._xp
-        X = ws.X[:n]
-        out = ws.out[:n]
-        p_prop = ws.p_prop[:n]
-        p_prop[:] = 0.0
-        for lvl in self.levels:
-            lo, hi, w0 = lvl.lo, lvl.hi, lvl.col_start
-            width = self.nv - w0
-            if not lvl.is_root:
-                xpp = X[:, lo:hi] @ p_prop[:, lvl.parent_slots, :, w0:]
-            for gi, g in enumerate(lvl.groups):
-                sl = slice(g.lo, g.hi)
-                if g.k == 1:
-                    if not lvl.is_root:
-                        u, d_inv = saved[(lvl.index, gi)]
-                        xpp_g = xpp[:, g.rel]
-                        out[:, g.rows, w0:] -= d_inv[..., None] * xp.einsum(
-                            "nls,nlsv->nlv", u, xpp_g, optimize=False
-                        )
-                    og = out[:, g.rows, w0:]
-                    t = g.axis[:, :, None] * og[:, :, None, :]
-                else:
-                    if not lvl.is_root:
-                        u, d_inv = saved[(lvl.index, gi)]
-                        xpp_g = xpp[:, g.rel]
-                        corr = d_inv @ (xp.swapaxes(u, -1, -2) @ xpp_g)
-                        out[:, g.rows, w0:] -= corr.reshape(
-                            n, len(g.rows), width
-                        )
-                    og = out[:, g.rows, w0:].reshape(n, g.size, g.k, width)
-                    t = g.subspaces @ og
-                if lvl.is_root:
-                    p_prop[:, sl, :, w0:] = t
-                else:
-                    p_prop[:, sl, :, w0:] = t + xpp[:, g.rel]
-        return _symmetrize_from_rows(out, xp)
-
-    def _mminvgen_packed(self, ws: PlanWorkspace, n: int, *,
-                         out_minv: bool) -> np.ndarray:
-        """Packed-column MMinvGen backward sweep.
+        """``M`` or ``Minv`` over the staged transforms (MMinvGen).
 
         The force accumulator carries its DOF-column axis in the packed
         (slot-order) layout, where each level's subtree union is exactly
-        the suffix ``[wp, nv)`` — the tight version of the dense kernel's
-        ``[col_start, nv)`` window — so the whole sweep is the dense code
-        at narrower basic-sliced windows; everything the window skips is
-        a structural zero the dense kernel spent flops recomputing.
-        Output rows are written in packed columns and unpermuted once at
-        the end (``M``) or before the ``Minv`` forward sweep, which
-        stays in column order (:meth:`_minv_forward`: the upper triangle
-        of ``Minv`` is dense, there is no subtree structure to pack).
+        the suffix ``[wp, nv)``, so every backward-sweep step runs at that
+        basic-sliced window; everything the window skips is a structural
+        zero.  Output rows are written in the permuted layout too, and
+        unpermuted once at the end — here for ``M``, after the forward
+        sweep (:meth:`_minv_forward`) for ``Minv``.
         """
         xp = self._xp
         t0 = _obs.kernel_begin()
@@ -1380,20 +1167,19 @@ class ExecutionPlan:
             m = sym[:, self.col_pos[:, None], self.col_pos[None, :]]
             _obs.kernel_end(t0, self.robot_name, "mminvgen", n)
             return m
-        minv = self._minv_forward_packed(ws, n, saved)
+        minv = self._minv_forward(ws, n, saved)
         _obs.kernel_end(t0, self.robot_name, "mminvgen", n)
         return minv
 
-    def _minv_forward_packed(self, ws: PlanWorkspace, n: int,
-                             saved: dict) -> np.ndarray:
+    def _minv_forward(self, ws: PlanWorkspace, n: int,
+                      saved: dict) -> np.ndarray:
         """Forward MMinvGen sweep (Mf submodules) in the packed layout.
 
         The upper triangle of ``Minv`` is dense in *column order*, but
         the sweep's row windows are governed by reachability, and slot
         order is itself a topological order: row ``r`` only needs columns
         of links no shallower than ``r``, which in the packed layout is
-        exactly the suffix ``[wp, nv)`` — tighter than the dense kernel's
-        ``[col_start, nv)`` windows.  The row stack then holds the upper
+        exactly the suffix ``[wp, nv)``.  The row stack then holds the upper
         triangle *of the permuted ordering*: rows are gathered into slot
         order, symmetrized there, and both axes are unpermuted in one
         paired gather at the end.
@@ -1445,146 +1231,15 @@ class ExecutionPlan:
 
     @staticmethod
     def _write_diag(out: np.ndarray, g: LevelGroup, d: np.ndarray,
-                    pos: np.ndarray | None = None) -> None:
-        """Write each link's (k, k) diagonal block of ``out`` (``pos``
-        supplies the packed positions when the layout is packed — both
-        axes, since packed outputs keep permuted rows).
-        """
-        cols = g.dofs if pos is None else pos
+                    pos: np.ndarray) -> None:
+        """Write each link's (k, k) diagonal block of ``out`` at its packed
+        positions ``pos`` (both axes: outputs keep permuted rows)."""
         for j in range(g.size):
-            out[:, cols[j][:, None], cols[j][None, :]] = d[:, j]
+            out[:, pos[j][:, None], pos[j][None, :]] = d[:, j]
 
     # ------------------------------------------------------------------
     # dRNEA (analytical dID), level-scheduled with paired d/dq, d/dqd
     # ------------------------------------------------------------------
-
-    def _rnea_derivatives(self, ws: PlanWorkspace,
-                          n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Derivative sweeps over the state left behind by :meth:`_rnea`.
-
-        Requires a full RNEA pass (with the real ``qdd``) in the
-        workspace: ``v``/``xv``/``xa`` from the forward sweep and the
-        accumulated forces ``f`` from the backward sweep (the paper's btr
-        operand).  Dispatches to the packed-column forward sweep when the
-        plan compiled packed index sets.
-        """
-        if self.packed:
-            return self._rnea_derivatives_packed(ws, n)
-        return self._rnea_derivatives_dense(ws, n)
-
-    def _rnea_derivatives_dense(self, ws: PlanWorkspace,
-                                n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Dense derivative sweeps.
-
-        ``DVA`` carries all four transfer stacks side by side
-        (``[dv/dq | dv/dqd | da/dq | da/dqd]``), so parent propagation is
-        one gather and one wide contraction per level; ``DF`` carries the
-        ``[df/dq | df/dqd]`` pair the same way.
-        """
-        xp = self._xp
-        t0 = _obs.kernel_begin()
-        nv = self.nv
-        nv2 = 2 * nv
-        X = ws.X[:n]
-        v, xv, xa, vj, f = (
-            ws.v[:n], ws.xv[:n], ws.xa[:n], ws.vj[:n], ws.f[:n]
-        )
-        D, DF = ws.DVA[:n], ws.DF[:n]
-        # Whole-robot operator stacks, hoisted out of the level loop.
-        gyro = crf_bar(_mv(self.inertias, v)) + crf(v) @ self.inertias
-        cvj = crm(vj)
-
-        # Forward sweep (Df submodules).
-        for lvl in self.levels:
-            lo, hi = lvl.lo, lvl.hi
-            slab = D[:, lo:hi]
-            if lvl.is_root:
-                slab[:] = 0.0
-            else:
-                xp.matmul(X[:, lo:hi], D[:, lvl.parent_slots], out=slab)
-            for g in lvl.groups:
-                if g.k == 1:
-                    # One-hot joint terms: a cross product added at the
-                    # joint's own column in each stack.
-                    if not lvl.is_root:
-                        D[:, g.slots, :, g.dofs[:, 0]] += xp.moveaxis(
-                            cross_motion(xv[:, g.lo:g.hi], g.axis), 1, 0
-                        )
-                    D[:, g.slots, :, nv + g.dofs[:, 0]] += g.axis[:, None]
-                    D[:, g.slots, :, nv2 + g.dofs[:, 0]] += xp.moveaxis(
-                        cross_motion(xa[:, g.lo:g.hi], g.axis), 1, 0
-                    )
-                else:
-                    sel = lvl.sel[g.rel]
-                    gsl = D[:, g.lo:g.hi]
-                    if not lvl.is_root:
-                        gsl[..., :nv] += crm(xv[:, g.lo:g.hi]) @ sel
-                    gsl[..., nv:nv2] += sel
-                    gsl[..., nv2:3 * nv] += crm(xa[:, g.lo:g.hi]) @ sel
-            # a_i includes v_i x vj: differentiate both factors (one
-            # operator covers the dq and dqd halves at once).
-            slab[..., nv2:] -= cvj[:, lo:hi] @ slab[..., :nv2]
-            for g in lvl.groups:
-                if g.k == 1:
-                    D[:, g.slots, :, 3 * nv + g.dofs[:, 0]] += xp.moveaxis(
-                        cross_motion(v[:, g.lo:g.hi], g.axis), 1, 0
-                    )
-                else:
-                    D[:, g.lo:g.hi, :, 3 * nv:] += (
-                        crm(v[:, g.lo:g.hi]) @ lvl.sel[g.rel]
-                    )
-            DF[:, lo:hi] = (
-                self.inertias[lo:hi] @ slab[..., nv2:]
-                + gyro[:, lo:hi] @ slab[..., :nv2]
-            )
-
-        dtau_q, dtau_qd = self._deriv_backward(ws, n)
-        _obs.kernel_end(t0, self.robot_name, "rnea_derivatives", n)
-        return dtau_q, dtau_qd
-
-    def _deriv_backward(self, ws: PlanWorkspace,
-                        n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Backward derivative sweep (Db submodules), dense layout,
-        fused with row extraction: when a level is reached its DF slab is
-        fully accumulated, so its dtau rows are read off first and the
-        btr term is then added in place before propagating to the
-        parents."""
-        xp = self._xp
-        nv = self.nv
-        nv2 = 2 * nv
-        X, f, DF = ws.X[:n], ws.f[:n], ws.DF[:n]
-        dtau_q, dtau_qd = ws.dtau_q[:n], ws.dtau_qd[:n]
-        for lvl in reversed(self.levels):
-            lo, hi = lvl.lo, lvl.hi
-            for g in lvl.groups:
-                if g.k == 1:
-                    r = self._ein(
-                        "ls,nlsv->nlv", g.axis, DF[:, g.lo:g.hi]
-                    )
-                    dtau_q[:, g.rows] = r[..., :nv]
-                    dtau_qd[:, g.rows] = r[..., nv:]
-                else:
-                    r = (g.subspaces_t @ DF[:, g.lo:g.hi]).reshape(
-                        n, len(g.rows), nv2
-                    )
-                    dtau_q[:, g.rows] = r[..., :nv]
-                    dtau_qd[:, g.rows] = r[..., nv:]
-            if lvl.is_root:
-                continue
-            for g in lvl.groups:
-                # d(X^T f)/dq_i adds X^T (S_k x* f_i) at the joint's own
-                # column, with f_i the accumulated force (the btr term).
-                if g.k == 1:
-                    DF[:, g.slots, :, g.dofs[:, 0]] += xp.moveaxis(
-                        cross_force(g.axis, f[:, g.lo:g.hi]), 1, 0
-                    )
-                else:
-                    DF[:, g.lo:g.hi, :, :nv] += self._ein(
-                        "lvij,nlj->nliv", lvl.btr[g.rel], f[:, g.lo:g.hi]
-                    )
-            xt = xp.swapaxes(X[:, lo:hi], -1, -2)
-            self._scatter_to_parents(DF, lvl, xt @ DF[:, lo:hi])
-        return dtau_q, dtau_qd
 
     def _add_diag2(self, base, val) -> None:
         """``base[:, i, :, i] += val[:, :, i]`` over a ``(n, L, 6, C)``
@@ -1607,11 +1262,12 @@ class ExecutionPlan:
             else:
                 base[:, idx, :, idx] += xp.moveaxis(val, 1, 0)
 
-    def _deriv_backward_packed(self, ws: PlanWorkspace,
-                               n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Backward derivative sweep over the block-axis packed ``DF``.
+    def _deriv_backward(self, ws: PlanWorkspace,
+                        n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Backward derivative sweep (Db submodules) over the block-axis
+        packed ``DF``.
 
-        Two passes instead of the dense kernel's fused loop.  The btr
+        Two passes: propagation, then row extraction.  The btr
         own-column terms only depend on the static forces, so the fused
         one-DOF bundle adds all of them in one diagonal-strided op up
         front; the propagation pass then just scatters level slabs onto
@@ -1621,8 +1277,8 @@ class ExecutionPlan:
         is final, so the dtau rows come off in one whole-robot matmul
         (plus per-group matmuls for multi-DOF and bundle-less plans)
         written to basic slices of the *permuted-row* dtau pair, minus
-        the own-column btr projection the fused extraction order used to
-        exclude.
+        the own-column btr projection (extraction runs after the btr
+        terms were added, and a joint's own row must exclude them).
         """
         xp = self._xp
         nv = self.nv
@@ -1708,9 +1364,14 @@ class ExecutionPlan:
                         dtau_q[:, pr] -= corr.reshape(n, -1, nv)
         return dtau_q, dtau_qd
 
-    def _rnea_derivatives_packed(self, ws: PlanWorkspace,
-                                 n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Packed-column derivative forward sweep.
+    def _rnea_derivatives(self, ws: PlanWorkspace,
+                          n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Derivative sweeps over the state left behind by :meth:`_rnea`.
+
+        Requires a full RNEA pass (with the real ``qdd``) in the
+        workspace: ``v``/``xv``/``xa`` from the forward sweep and the
+        accumulated forces ``f`` from the backward sweep (the paper's btr
+        operand).
 
         The ``[dv/dq | dv/dqd | da/dq | da/dqd]`` transfer stacks of a
         link are nonzero only at its root-to-link *path* columns.  In the
@@ -1723,8 +1384,8 @@ class ExecutionPlan:
         level's own columns, structurally zero in every parent) is
         zero-filled.  Joint one-hot terms land at precompiled packed
         positions.  ``DF`` keeps the packed block layout through the
-        packed backward sweep and the dtau pair is unpermuted once at
-        the end.
+        backward sweep (:meth:`_deriv_backward`) and the dtau pair is
+        unpermuted once at the end.
         """
         xp = self._xp
         t0 = _obs.kernel_begin()
@@ -1851,7 +1512,7 @@ class ExecutionPlan:
                     DF[:, lo + pk.dfz, :, :, w:] = 0.0
             prev = slab
 
-        dtau_q, dtau_qd = self._deriv_backward_packed(ws, n)
+        dtau_q, dtau_qd = self._deriv_backward(ws, n)
         ix = self.col_pos
         dtau_q = dtau_q[:, ix[:, None], ix[None, :]]
         dtau_qd = dtau_qd[:, ix[:, None], ix[None, :]]
@@ -1985,7 +1646,7 @@ class ExecutionPlan:
 
     def describe(self) -> dict:
         """Shape summary for benchmarks and the serve cache."""
-        info = {
+        return {
             "robot": self.robot_name,
             "backend": self.backend.name,
             "links": self.nb,
@@ -1994,30 +1655,7 @@ class ExecutionPlan:
             "levels": len(self.levels),
             "level_widths": [lvl.size for lvl in self.levels],
             "max_level_width": max(lvl.size for lvl in self.levels),
-            "packing": self.packing,
-            "packed": self.packed,
         }
-        if self.packed:
-            # Level-width-weighted column counts: packed vs the dense
-            # sweeps' footprints (the flop-ratio the packing buys).
-            info["packed_cols"] = {
-                "deriv_packed": sum(
-                    lvl.size * pk.w
-                    for lvl, pk in zip(self.levels, self.packed_levels)
-                ),
-                "deriv_dense": sum(
-                    lvl.size * self.nv for lvl in self.levels
-                ),
-                "mminv_packed": sum(
-                    lvl.size * (self.nv - pk.wp)
-                    for lvl, pk in zip(self.levels, self.packed_levels)
-                ),
-                "mminv_dense": sum(
-                    lvl.size * (self.nv - lvl.col_start)
-                    for lvl in self.levels
-                ),
-            }
-        return info
 
     def __repr__(self) -> str:
         return (
@@ -2032,29 +1670,27 @@ class ExecutionPlan:
 # Plan cache
 # ---------------------------------------------------------------------------
 
-#: model -> {(backend name, packing): plan}.  Weak over models so
-#: transient models can be collected together with every variant of
-#: their plan.
-_PLAN_CACHE: "weakref.WeakKeyDictionary[RobotModel, dict[tuple, ExecutionPlan]]" = (
+#: model -> {backend name: plan}.  Weak over models so transient models
+#: can be collected together with every backend variant of their plan.
+_PLAN_CACHE: "weakref.WeakKeyDictionary[RobotModel, dict[str, ExecutionPlan]]" = (
     weakref.WeakKeyDictionary()
 )
 _PLAN_LOCK = threading.Lock()
 
 
 def plan_for(model: RobotModel,
-             backend: str | ArrayBackend | None = None, *,
-             packing: str = "auto") -> ExecutionPlan:
+             backend: str | ArrayBackend | None = None) -> ExecutionPlan:
     """The memoized :class:`ExecutionPlan` for ``model`` on ``backend``.
 
-    Plans are cached per (model instance, backend name, packing mode) —
-    weakly over models, so transient models can be collected;
+    Plans are cached per (model instance, backend name) — weakly over
+    models, so transient models can be collected;
     :func:`repro.model.library.load_robot` returns shared instances, so
     serve traffic for one robot compiles exactly one plan per backend —
     the software analogue of programming one bitstream per robot and
     cloning it per device type.
     """
     bk = get_backend(backend)
-    key = (bk.name, packing)
+    key = bk.name
     plans = _PLAN_CACHE.get(model)
     if plans is not None:
         plan = plans.get(key)
@@ -2067,7 +1703,7 @@ def plan_for(model: RobotModel,
             _PLAN_CACHE[model] = plans
         plan = plans.get(key)
         if plan is None:
-            plan = ExecutionPlan(model, bk, packing=packing)
+            plan = ExecutionPlan(model, bk)
             plans[key] = plan
     return plan
 
@@ -2079,7 +1715,5 @@ __all__ = [
     "PlanLevel",
     "PlanWorkspace",
     "TransformGroup",
-    "cached_einsum",
-    "default_workspace_shapes",
     "plan_for",
 ]

@@ -72,8 +72,9 @@ class Joint(ABC):
         """``X_J`` for a whole task batch: ``(n, nv)`` -> ``(n, 6, 6)``.
 
         The base implementation loops over tasks; concrete joints override
-        it with a broadcast construction so the vectorized engine's
-        per-link step costs one array op instead of ``n`` Python calls.
+        it with a broadcast construction so the compiled plan's transform
+        refresh for non-revolute/prismatic joints costs one array op
+        instead of ``n`` Python calls.
         """
         q = np.asarray(q, dtype=float)
         return np.stack([self.joint_transform(q[k]) for k in range(q.shape[0])])

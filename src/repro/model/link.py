@@ -35,7 +35,3 @@ class Link:
     def parent_transform(self, q: np.ndarray) -> np.ndarray:
         """``^iX_lambda(q_i)`` — the motion transform from parent to link."""
         return self.joint.joint_transform(q) @ self.x_tree
-
-    def batch_parent_transform(self, q: np.ndarray) -> np.ndarray:
-        """``^iX_lambda`` for a whole task batch: ``(n, nv_i)`` -> ``(n, 6, 6)``."""
-        return self.joint.batch_joint_transform(q) @ self.x_tree

@@ -222,20 +222,6 @@ class RobotModel:
             for i, link in enumerate(self.links)
         ]
 
-    def batch_parent_transforms(self, q: np.ndarray) -> list[np.ndarray]:
-        """All ``^iX_lambda`` for a task batch: ``(n, nv)`` -> per-link
-        ``(n, 6, 6)`` stacks.
-
-        This is the shared front of every batched Table-I kernel — the
-        engine computes it once per batch and reuses it across the bias,
-        Minv and derivative recursions.
-        """
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        return [
-            link.batch_parent_transform(q[:, self.dof_slice(i)])
-            for i, link in enumerate(self.links)
-        ]
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

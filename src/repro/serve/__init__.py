@@ -43,8 +43,9 @@ Architecture — the life of a request::
       ``"compiled"`` engine, which replays the robot's cached execution
       plan (:mod:`repro.dynamics.plan`) — level-scheduled recursions over
       preallocated workspaces (numerically identical to per-request
-      :func:`repro.dynamics.functions.evaluate`; the ``"vectorized"`` and
-      ``"loop"`` engines remain selectable).  The batch's modeled makespan
+      :func:`repro.dynamics.functions.evaluate`; the ``"loop"``
+      reference and the ``"process"`` / ``"jit"`` engines remain
+      selectable).  The batch's modeled makespan
       from :meth:`repro.core.accelerator.DaduRBD.profile_batch` is charged
       to the shard's ledger and the serving engine recorded in metrics.
     * Serial chains (RK4 sensitivity, Fig 13) bypass the batcher via
@@ -89,9 +90,9 @@ Health & retry — what happens when execution fails::
          |                   |               or retries exhausted)
          v                   v                    |
     degrade shard       backoff+jitter,           v
-    engine: process     re-place through     bisect split-and-
-    -> compiled ->      the pool (routes     retry: halves re-run
-    vectorized ->       around the open      until the bad request
+    engine: jit ->      re-place through     bisect split-and-
+    process ->          the pool (routes     retry: halves re-run
+    compiled ->         around the open      until the bad request
     loop; re-run        breaker); at most    fails alone with
     in place            RetryPolicy          BatchExecutionError
                         .max_attempts        (__cause__ = original);

@@ -61,8 +61,8 @@ class ShardConfig:
 
     ``engine``
         Engine name this shard evaluates batches with (``"loop"``,
-        ``"vectorized"``, ``"compiled"``, ``"process"``); ``None``
-        inherits the service's engine.
+        ``"compiled"``, ``"process"``, ``"jit"``); ``None`` inherits the
+        service's engine.
     ``backend``
         Array backend name for the shard's plans (:mod:`repro.backend`);
         ``None`` inherits the service's backend.  Only the compiled
@@ -92,7 +92,6 @@ class ShardConfig:
 #: ``ShardConfig.throughput_weight`` always wins.
 _ENGINE_HINTS = {
     "loop": 1.0,
-    "vectorized": 8.0,
     "compiled": 12.0,
     # Trace-compiled functional kernels: whole Table-I functions fused
     # by XLA, amortized after the first-call compile.

@@ -26,8 +26,8 @@ request with a ``deadline_s`` is shed — resolved with
 :class:`~repro.serve.request.DeadlineExceededError` — if it expires in
 the batcher or while its batch waits for a shard.  A batch whose
 execution fails walks a recovery pipeline: capability/resource errors
-degrade the shard's engine down the chain process -> compiled ->
-vectorized -> loop and re-run; transient errors retry with exponential
+degrade the shard's engine down the chain jit -> process -> compiled
+-> loop and re-run; transient errors retry with exponential
 backoff + jitter (:class:`~repro.serve.request.RetryPolicy`),
 *re-placed* through the pool so they route around the failing shard;
 poison errors bisect the batch (split-and-retry) until the single bad
@@ -58,7 +58,6 @@ from repro.dynamics.batch import RaggedBatch, batch_evaluate_ragged, stack_rows
 from repro.dynamics.engine import (
     CompiledEngine,
     Engine,
-    default_engine_explicit,
     get_engine,
 )
 from repro.dynamics.functions import RBDFunction
@@ -101,8 +100,7 @@ class DynamicsService:
     _DEGRADE_NEXT = {
         "jit": "process",
         "process": "compiled",
-        "compiled": "vectorized",
-        "vectorized": "loop",
+        "compiled": "loop",
         "loop": None,
     }
     #: Exception types that trigger degradation instead of retry — the
@@ -133,11 +131,8 @@ class DynamicsService:
         #: under the batch-execute spans.
         self.tracer = tracer
         #: Execution engine shard workers evaluate batches with: the
-        #: structure-compiled "compiled" engine, unless overridden by the
-        #: ``engine`` argument or an explicitly pinned process default
-        #: (REPRO_ENGINE env var / ``set_default_engine``).
-        if engine is None and not default_engine_explicit():
-            engine = "compiled"
+        #: ``engine`` argument, else the process default ("compiled",
+        #: unless REPRO_ENGINE / ``set_default_engine`` changed it).
         self.engine = get_engine(engine)
         #: Default array backend shard plans execute on (validated here
         #: so a typo or an uninstalled runtime fails at construction).
@@ -248,8 +243,8 @@ class DynamicsService:
 
         A shard naming a non-default backend gets its own compiled-engine
         instance bound to that backend (the compiled engine is the
-        backend-portable one); host-bound engines (loop, vectorized,
-        process) always record ``"numpy"``.
+        backend-portable one); host-bound engines (loop, process)
+        always record ``"numpy"``.
         """
         backend = (
             get_backend(shard_config.backend)
@@ -1208,8 +1203,7 @@ class DynamicsService:
 
     def _degrade_shard(self, shard: ShardState) -> bool:
         """Drop ``shard`` one step down the engine degradation chain
-        (jit -> process -> compiled -> vectorized -> loop); False at
-        the end."""
+        (jit -> process -> compiled -> loop); False at the end."""
         current = self._shard_engines[shard.index].name
         next_name = self._DEGRADE_NEXT.get(current, "compiled")
         if next_name is None:

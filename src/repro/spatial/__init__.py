@@ -2,8 +2,9 @@
 
 All operators broadcast over leading batch axes (``(..., 6)`` vectors,
 ``(..., 6, 6)`` transforms/operators), so the same functions serve both the
-scalar reference algorithms and the vectorized batch engine, which loops
-over links but applies every link-step to the whole task batch at once.
+scalar reference algorithms and the compiled batch engine, which loops
+over tree depth levels but applies every step to the whole task batch at
+once.
 """
 
 from repro.spatial.inertia import SpatialInertia

@@ -8,8 +8,8 @@ Rz(theta).T`` where ``Rz`` is the usual rotation matrix.
 
 ``skew``, ``unskew`` and ``exp_so3`` accept leading batch axes: a ``(..., 3)``
 input yields a ``(..., 3, 3)`` output with every batch element treated
-independently.  This is the substrate the vectorized dynamics engine builds
-on (loop over links, broadcast over tasks).
+independently.  This is the substrate the batched dynamics engines build
+on (loop over the tree, broadcast over tasks).
 
 Array math routes through :mod:`repro.backend`: every operator resolves
 the namespace of its operands (:func:`repro.backend.array_namespace`), so

@@ -7,7 +7,7 @@ pin their observable contracts:
   known alternatives (and uninstalled-but-registered backends raise
   :class:`~repro.backend.BackendUnavailable` instead of ImportError);
 * ``REPRO_ENGINE`` / ``REPRO_BACKEND`` env vars install the process
-  default and count as an explicit user pin, while
+  default (which the serve runtime follows), while
   ``set_default_engine``/``set_default_backend`` override them for the
   session and ``None`` restores the env-var value;
 * lookup/registration is thread-safe: named engines resolve to one
@@ -25,7 +25,6 @@ from repro.dynamics.engine import (
     Engine,
     LoopEngine,
     available_engines,
-    default_engine_explicit,
     default_engine_name,
     get_engine,
     register_engine,
@@ -84,13 +83,11 @@ class TestEnvPrecedence:
         set_default_engine(None)  # adopt the env var
         try:
             assert default_engine_name() == "loop"
-            assert default_engine_explicit()
             assert isinstance(get_engine(), LoopEngine)
         finally:
             monkeypatch.delenv("REPRO_ENGINE")
             set_default_engine(None)
-        assert default_engine_name() == "vectorized"
-        assert not default_engine_explicit()
+        assert default_engine_name() == "compiled"
 
     def test_set_default_overrides_env_and_none_restores_it(
         self, monkeypatch
@@ -103,7 +100,6 @@ class TestEnvPrecedence:
             # Un-pinning restores the env var, not the built-in default.
             set_default_engine(None)
             assert default_engine_name() == "loop"
-            assert default_engine_explicit()
         finally:
             monkeypatch.delenv("REPRO_ENGINE")
             set_default_engine(None)
@@ -120,15 +116,15 @@ class TestEnvPrecedence:
         assert not backend_mod.default_backend_explicit()
 
     def test_serve_honours_pinned_engine_env(self, monkeypatch):
-        """The serve runtime's compiled fallback must yield to an
-        explicit REPRO_ENGINE pin (same rule as set_default_engine)."""
+        """The serve runtime follows the process default, so an
+        explicit REPRO_ENGINE pin reaches it (same as set_default_engine)."""
         from repro.serve import DynamicsService
 
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
+        monkeypatch.setenv("REPRO_ENGINE", "loop")
         set_default_engine(None)
         try:
             service = DynamicsService(n_shards=1)
-            assert service.engine.name == "vectorized"
+            assert service.engine.name == "loop"
             service.close()
         finally:
             monkeypatch.delenv("REPRO_ENGINE")
@@ -139,13 +135,13 @@ class TestThreadSafety:
     def test_concurrent_get_engine_is_singleton(self):
         # Drop any cached instance so threads race the instantiation.
         with engine_mod._REGISTRY_LOCK:
-            engine_mod._ENGINES.pop("vectorized", None)
+            engine_mod._ENGINES.pop("loop", None)
         seen = []
         barrier = threading.Barrier(8)
 
         def grab():
             barrier.wait()
-            seen.append(get_engine("vectorized"))
+            seen.append(get_engine("loop"))
 
         threads = [threading.Thread(target=grab) for _ in range(8)]
         for t in threads:

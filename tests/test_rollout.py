@@ -81,8 +81,7 @@ class TestSchemes:
 
 
 class TestEngines:
-    @pytest.mark.parametrize("engine",
-                             ["loop", "vectorized", "compiled", "process"])
+    @pytest.mark.parametrize("engine", ["loop", "compiled", "process"])
     def test_any_registered_engine(self, engine):
         """(n, T) slabs with contact run on every registered engine."""
         model = hyq()
@@ -97,7 +96,7 @@ class TestEngines:
         assert np.allclose(res.qs, ref.qs, atol=1e-8)
         assert np.allclose(res.forces, ref.forces, atol=1e-6)
 
-    @pytest.mark.parametrize("engine", ["loop", "vectorized", "compiled"])
+    @pytest.mark.parametrize("engine", ["loop", "compiled"])
     def test_deterministic_bitwise(self, engine):
         """Same inputs => bitwise-equal trajectories, run after run (the
         preallocated workspaces leak no state between calls)."""
@@ -119,7 +118,7 @@ class TestEngines:
             engine: RolloutEngine("rk4", engine=engine).rollout(
                 model, q0, qd0, us, dt=DT
             )
-            for engine in ("loop", "vectorized", "compiled", "process")
+            for engine in ("loop", "compiled", "process")
         }
         for engine, res in results.items():
             assert np.allclose(res.qs, results["loop"].qs, atol=1e-9), engine

@@ -246,7 +246,7 @@ class TestMeasuredWeights:
         model = load_robot("iiwa")
         rng = np.random.default_rng(0)
         shard_configs = [ShardConfig(engine="compiled"),
-                         ShardConfig(engine="vectorized")]
+                         ShardConfig(engine="loop")]
         with DynamicsService(shard_configs=shard_configs,
                              shard_policy="least_loaded") as service:
             from repro.dynamics.functions import RBDFunction
