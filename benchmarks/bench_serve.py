@@ -25,6 +25,11 @@ FUNCTION = RBDFunction.FD
 REQUESTS = 256
 BATCH_SWEEP = (1, 4, 16, 64)
 SPEEDUP_FLOOR = 5.0
+#: Flush timer for the batching runs, longer than the whole submit burst:
+#: batches then fill to ``max_batch`` before the timer can fire, so
+#: occupancy does not depend on host speed.  The client's closing
+#: ``flush()`` sends the remainder.
+BURST_WAIT_S = 1.0
 
 
 def sweep_batch_sizes(requests: int = REQUESTS,
@@ -35,7 +40,7 @@ def sweep_batch_sizes(requests: int = REQUESTS,
         out[max_batch] = run_serve_load(
             ROBOT, FUNCTION, requests,
             max_batch=max_batch,
-            max_wait_s=0.0 if max_batch == 1 else 2e-3,
+            max_wait_s=0.0 if max_batch == 1 else BURST_WAIT_S,
             shards=2, shard_policy="round_robin",
         )
     return out

@@ -403,6 +403,7 @@ class RolloutPlan:
         contact_mask=None,
         ground_height: float = 0.0,
         f_ext: dict[int, np.ndarray] | None = None,
+        sensitivities: bool = False,
         cancelled=None,
     ):
         """Generator yielding ``(t0, t1, RolloutResult)`` per window of
@@ -415,7 +416,10 @@ class RolloutPlan:
         streaming primitive: a consumer sees the first ``window`` knots
         after ``window`` steps of work instead of after the whole
         horizon, and ``cancelled()`` (checked between windows) abandons
-        the unsimulated tail, freeing the engine.
+        the unsimulated tail, freeing the engine.  ``sensitivities`` is
+        forwarded to each window's :meth:`rollout`; since
+        :func:`concat_windows` drops the ``A``/``B`` matrices, take them
+        from a one-window run (``window >= T``).
         """
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -437,6 +441,7 @@ class RolloutPlan:
                     contact_mask, t0, t1, t_steps, c
                 ),
                 ground_height=ground_height, f_ext=f_ext,
+                sensitivities=sensitivities,
             )
             yield t0, t1, result
             if t1 < t_steps and cancelled is not None and cancelled():

@@ -223,7 +223,7 @@ class RolloutRequest:
     attempts: int = 0
     urgent: bool = False
     #: Mid-stream cancellation flag (streaming rollouts only): set via
-    #: :meth:`cancel_stream`; the windowed executor stops simulating once
+    #: :meth:`cancel_stream`; the rollout executor stops simulating once
     #: every live request in the batch is cancelled and resolves the
     #: cancelled futures with :class:`StreamCancelledError`.
     _cancel: threading.Event = field(default_factory=threading.Event,
@@ -255,7 +255,7 @@ class RolloutRequest:
                 self.window)
 
     def cancel_stream(self) -> None:
-        """Ask the windowed executor to stop simulating this rollout."""
+        """Ask the rollout executor to stop simulating this rollout."""
         self._cancel.set()
 
     def stream_cancelled(self) -> bool:

@@ -4,16 +4,22 @@
 robot states for any Table-I function and get a future back; internally
 the runtime coalesces same-``(robot, function)`` requests with the
 :class:`~repro.serve.batcher.DynamicBatcher`, executes each coalesced
-batch on a :class:`~repro.serve.pool.ShardPool` shard via
-:func:`repro.dynamics.batch.batch_evaluate` on the service's execution
-engine (the structure-compiled ``"compiled"`` engine by default — level
--scheduled kernels over the robot's cached execution plan; see
-:mod:`repro.dynamics.engine` and :mod:`repro.dynamics.plan`), charges
-the batch's modeled cost to the shard via the accelerator's cycle
-simulation, and resolves the per-request futures in submission order.
-External forces ride along per request (link -> ``(6,)``) and are
-stacked per batch; the engine that served each batch is recorded in the
-metrics registry.
+batch on a :class:`~repro.serve.pool.ShardPool` shard on the service's
+execution engine (the structure-compiled ``"compiled"`` engine by
+default — level-scheduled kernels over the robot's cached execution
+plan; see :mod:`repro.dynamics.engine` and :mod:`repro.dynamics.plan`),
+charges the batch's modeled cost to the shard via the accelerator's
+cycle simulation, and resolves the per-request futures in submission
+order.  External forces ride along per request (link -> ``(6,)``) and
+are stacked per batch; the engine that served each batch is recorded in
+the metrics registry.
+
+Each request kind has one execute path.  Point batches run through
+:func:`repro.dynamics.batch.batch_evaluate_ragged` — a single-robot
+batch is a one-segment :class:`~repro.dynamics.batch.RaggedBatch`.
+Rollout batches run through
+:meth:`repro.rollout.RolloutPlan.rollout_windows` — a non-streamed
+rollout is a one-window stream.
 
 Serial chains (RK4-style sensitivity steps) bypass the batcher and are
 dispatched as one unit whose cycle accounting uses
@@ -88,6 +94,21 @@ from repro.serve.request import (
     ServiceOverloaded,
     StreamCancelledError,
 )
+
+
+def _check_f_ext(request, model) -> None:
+    """Reject out-of-range links and mis-shaped forces in ``f_ext``."""
+    for link, value in (request.f_ext or {}).items():
+        if not 0 <= link < model.nb:
+            raise ValueError(
+                f"f_ext link index {link} out of range for robot "
+                f"{request.robot!r} (nb={model.nb})"
+            )
+        if np.shape(value) != (6,):
+            raise ValueError(
+                f"f_ext[{link}] must have shape (6,), "
+                f"got {np.shape(value)}"
+            )
 
 
 class DynamicsService:
@@ -310,23 +331,13 @@ class DynamicsService:
                     f"{label} must have shape ({nv},) for robot "
                     f"{request.robot!r}, got {np.shape(operand)}"
                 )
-        if request.f_ext:
-            if request.function in (RBDFunction.M, RBDFunction.MINV):
-                raise ValueError(
-                    f"f_ext is not accepted for {request.function.value} "
-                    "requests (mass-matrix functions take no forces)"
-                )
-            for link, value in request.f_ext.items():
-                if not 0 <= link < model.nb:
-                    raise ValueError(
-                        f"f_ext link index {link} out of range for robot "
-                        f"{request.robot!r} (nb={model.nb})"
-                    )
-                if np.shape(value) != (6,):
-                    raise ValueError(
-                        f"f_ext[{link}] must have shape (6,), "
-                        f"got {np.shape(value)}"
-                    )
+        if request.f_ext and request.function in (RBDFunction.M,
+                                                  RBDFunction.MINV):
+            raise ValueError(
+                f"f_ext is not accepted for {request.function.value} "
+                "requests (mass-matrix functions take no forces)"
+            )
+        _check_f_ext(request, model)
         if request.function is RBDFunction.DIFD:
             if request.minv is None:
                 raise ValueError("diFD requests must carry minv")
@@ -388,15 +399,22 @@ class DynamicsService:
                                qd=qd, u=u, minv=minv, f_ext=f_ext,
                                urgent=urgent, deadline_s=deadline_s)
         self._validate(request)
+        return self._admit(request)
+
+    def _admit(self, request) -> Future:
+        """Accept a validated request: enqueue it in the batcher, or
+        dispatch it at once as a singleton batch when it is urgent.  Its
+        ``cost`` (1, or a rollout's horizon) feeds the autoscaler's
+        demand signal."""
         self._mark_trace(request)
-        self._last_robot = robot
+        self._last_robot = request.robot
         with self._lifecycle_lock:
             if self._closed:
                 raise ServiceClosed("service is shut down")
             with self._counter_lock:
                 dispatched = self._dispatched_outstanding
-                self._submitted_cost += 1
-            if urgent:
+                self._submitted_cost += request.cost
+            if request.urgent:
                 # Priority bypass: same backpressure bound, no coalescing.
                 self._check_backpressure(1)
                 request.arrival_s = time.monotonic()
@@ -522,18 +540,7 @@ class DynamicsService:
                     "streaming windows are not available for sensitivity "
                     "rollouts (A/B matrices are whole-trajectory outputs)"
                 )
-        if request.f_ext:
-            for link, value in request.f_ext.items():
-                if not 0 <= link < model.nb:
-                    raise ValueError(
-                        f"f_ext link index {link} out of range for robot "
-                        f"{request.robot!r} (nb={model.nb})"
-                    )
-                if np.shape(value) != (6,):
-                    raise ValueError(
-                        f"f_ext[{link}] must have shape (6,), "
-                        f"got {np.shape(value)}"
-                    )
+        _check_f_ext(request, model)
 
     def submit_rollout(
         self,
@@ -607,30 +614,7 @@ class DynamicsService:
             # Hand the consumer a cancellation handle without exposing
             # the request record: futures accept ad-hoc attributes.
             request.future.cancel_stream = request.cancel_stream
-        self._mark_trace(request)
-        self._last_robot = robot
-        with self._lifecycle_lock:
-            if self._closed:
-                raise ServiceClosed("service is shut down")
-            with self._counter_lock:
-                dispatched = self._dispatched_outstanding
-                self._submitted_cost += request.horizon
-            if urgent:
-                self._check_backpressure(1)
-                request.arrival_s = time.monotonic()
-                self.batcher.stats.accepted += 1
-                self.batcher.stats.urgent += 1
-                self._track(request)
-                self._dispatch([request], chained=False)
-                return request.future
-            batch = self.batcher.add(request, time.monotonic(),
-                                     extra_pending=dispatched)
-            self._track(request)
-            if batch is not None:
-                self._dispatch(batch, chained=False)
-            else:
-                self._wake.set()
-        return request.future
+        return self._admit(request)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -991,20 +975,57 @@ class DynamicsService:
         with self._inflight_lock:
             self._inflight.discard(request.future)
 
+    def _resolve(self, request, result) -> None:
+        """Hand an executed request its result.
+
+        Metrics are booked before ``set_result``: a client waiting on the
+        future may read stats() the instant it resolves, and must see
+        this request counted.
+        """
+        self._forget(request)
+        if request.future.cancelled():
+            return
+        self.metrics.record_request(result.wall_latency_s,
+                                    result.modeled_latency_s)
+        if isinstance(result, RolloutServeResult):
+            self.metrics.record_rollout(result.horizon,
+                                        result.wall_latency_s)
+        try:
+            request.future.set_result(result)
+        except InvalidStateError:
+            pass        # cancellation raced; don't strand batchmates
+
+    def _reject(self, request, exc: BaseException) -> None:
+        """Resolve a request with ``exc`` (shed, failed, stream-cancelled)."""
+        self._forget(request)
+        if request.future.done():
+            return
+        try:
+            request.future.set_exception(exc)
+        except InvalidStateError:
+            pass
+
+    def _book_batch(self, shard: ShardState, size: int, makespan: float,
+                    wall_s: float, **kw) -> None:
+        """Record an executed batch and feed the measured per-shard
+        throughput back into placement (the static per-engine priors
+        only steer until real traffic lands)."""
+        self.metrics.record_batch(
+            size, makespan, engine=self._shard_engines[shard.index].name,
+            backend=self._shard_backends[shard.index], shard=shard.index,
+            wall_s=wall_s, **kw,
+        )
+        self.pool.recalibrate_weights(self.metrics.measured_shard_rps())
+
     def _resolve_shed(self, requests: list) -> None:
         """Resolve deadline-expired requests with DeadlineExceededError."""
         if not requests:
             return
         for r in requests:
-            if not r.future.done():
-                try:
-                    r.future.set_exception(DeadlineExceededError(
-                        f"deadline of {r.deadline_s * 1e3:.3g} ms passed "
-                        f"before execution (robot={r.robot!r})"
-                    ))
-                except InvalidStateError:
-                    pass
-            self._forget(r)
+            self._reject(r, DeadlineExceededError(
+                f"deadline of {r.deadline_s * 1e3:.3g} ms passed "
+                f"before execution (robot={r.robot!r})"
+            ))
         self.metrics.record_shed(len(requests))
 
     def _dispatch(self, batch: list, chained: bool) -> None:
@@ -1012,7 +1033,7 @@ class DynamicsService:
             self._dispatched_outstanding += len(batch)
         # Placement cost: 1 per plain request, the horizon per rollout —
         # a 64-step rollout occupies a shard like 64 pipeline tasks.
-        cost = sum(getattr(r, "cost", 1) for r in batch)
+        cost = sum(r.cost for r in batch)
         # Per-robot segment count of the placed batch (> 1 only for
         # coalesced ragged flushes); placement events record it.
         segments = 1 + sum(
@@ -1084,12 +1105,6 @@ class DynamicsService:
             batch = self._shed_batch(batch)
             if not batch:
                 return 0.0
-            rollout = isinstance(batch[0], RolloutRequest)
-            # Coalesced flushes carry several robots; they execute as one
-            # ragged batch (per-robot row segments, one engine dispatch).
-            ragged = not rollout and any(
-                r.robot != batch[0].robot for r in batch
-            )
             tracer = self.tracer
             if tracer is None:
                 return self._execute_resilient(shard, batch, chained)
@@ -1100,8 +1115,14 @@ class DynamicsService:
             # the execute span, completing the enqueue -> batch -> shard
             # -> kernel chain for every member trace ID.
             first = batch[0]
+            rollout = isinstance(first, RolloutRequest)
             fn = f"rollout/{first.scheme}" if rollout \
                 else first.function.value
+            # Coalesced flushes carry several robots: name the span
+            # "ragged" rather than after the first robot.
+            ragged = not rollout and any(
+                r.robot != first.robot for r in batch
+            )
             span_robot = "ragged" if ragged else first.robot
             exec_t0 = time.perf_counter()
             trace_ids = [r.trace_id for r in batch if r.trace_id]
@@ -1146,9 +1167,7 @@ class DynamicsService:
         """One raw execution attempt (no recovery); raises on failure."""
         if isinstance(batch[0], RolloutRequest):
             return self._execute_rollout(shard, batch)
-        if any(r.robot != batch[0].robot for r in batch):
-            return self._execute_ragged(shard, batch, chained)
-        return self._execute_inner(shard, batch, chained)
+        return self._execute_points(shard, batch, chained)
 
     def _execute_resilient(self, shard: ShardState, batch: list,
                            chained: bool) -> float:
@@ -1241,12 +1260,7 @@ class DynamicsService:
         )
         wrapped.__cause__ = exc
         for r in batch:
-            if not r.future.done():
-                try:
-                    r.future.set_exception(wrapped)
-                except InvalidStateError:
-                    pass
-            self._forget(r)
+            self._reject(r, wrapped)
         self.metrics.record_failure(len(batch))
         return 0.0
 
@@ -1291,88 +1305,16 @@ class DynamicsService:
         self.metrics.record_probe(ok)
         return 0.0
 
-    def _execute_inner(self, shard: ShardState, batch: list[ServeRequest],
-                       chained: bool) -> float:
-        function = batch[0].function
-        engine = self._shard_engines[shard.index]
-        backend_name = self._shard_backends[shard.index]
-        accel_config = self._shard_accels[shard.index]
-        # Failures propagate to _execute_resilient's recovery ladder
-        # (degrade / retry / isolate / fail) — no blanket handler here.
-        artifacts = self._shard_caches[shard.index].get(
-            batch[0].robot, backend=backend_name
-        )
-        model = artifacts.model
-        nv = model.nv
-        zero = np.zeros(nv)
-        # stack_rows coerces to C-contiguous float64 and names the
-        # offending request on a per-row shape mismatch.
-        q = stack_rows("q", [r.q for r in batch], (nv,))
-        qd = stack_rows(
-            "qd", [zero if r.qd is None else r.qd for r in batch], (nv,)
-        )
-        u = stack_rows(
-            "u", [zero if r.u is None else r.u for r in batch], (nv,)
-        )
-        minv = None
-        if all(r.minv is not None for r in batch):
-            minv = stack_rows("minv", [r.minv for r in batch], (nv, nv))
-        # A mixed batch (some requests carrying minv, some not —
-        # unreachable via submit()'s validation today, but cheap to
-        # be safe against) falls back to engine-side Minv: correct
-        # for everyone instead of failing the whole batch.
-        f_ext = self._stack_f_ext(batch)
-        exec_start = time.perf_counter()
-        values = batch_evaluate(
-            model, function, BatchStates(q, qd), u, minv=minv,
-            f_ext=f_ext, engine=engine,
-        )
-        exec_wall = time.perf_counter() - exec_start
-        profile = self._profile(artifacts, function, len(batch), chained,
-                                config=accel_config)
-        self.metrics.record_batch(len(batch), profile.makespan_cycles,
-                                  engine=engine.name, backend=backend_name,
-                                  shard=shard.index, wall_s=exec_wall)
-        # Feed the measured per-shard throughput back into placement: the
-        # static per-engine priors only steer until real traffic lands.
-        self.pool.recalibrate_weights(self.metrics.measured_shard_rps())
-        modeled_s = accel_config.cycles_to_seconds(profile.mean_latency_cycles)
-        now = time.monotonic()
-        for r, value in zip(batch, values):
-            self._forget(r)
-            if r.future.cancelled():
-                continue
-            # Record before resolving: a client waiting on the future may
-            # read stats() the instant set_result returns, and must see
-            # this request counted.
-            self.metrics.record_request(now - r.arrival_s, modeled_s)
-            try:
-                r.future.set_result(ServeResult(
-                    robot=r.robot,
-                    function=function,
-                    value=value,
-                    wall_latency_s=now - r.arrival_s,
-                    modeled_latency_cycles=profile.mean_latency_cycles,
-                    modeled_latency_s=modeled_s,
-                    modeled_makespan_cycles=profile.makespan_cycles,
-                    batch_size=len(batch),
-                    shard=shard.index,
-                    engine=engine.name,
-                    backend=backend_name,
-                ))
-            except InvalidStateError:
-                continue        # cancellation raced; don't strand batchmates
-        return profile.makespan_cycles
-
-    def _execute_ragged(self, shard: ShardState, batch: list[ServeRequest],
+    def _execute_points(self, shard: ShardState, batch: list[ServeRequest],
                         chained: bool) -> float:
-        """Run one coalesced multi-robot batch on ``shard``.
+        """Run one batch of point requests on ``shard``.
 
-        The batch arrives queue-grouped from the coalescing batcher (one
-        contiguous run of requests per source (robot, function) queue);
-        each run stacks into a :class:`RaggedBatch` segment and the whole
-        thing executes as one engine dispatch
-        (:func:`~repro.dynamics.batch.batch_evaluate_ragged`).  Per-robot
+        The batch arrives queue-grouped from the batcher (one contiguous
+        run of requests per source (robot, function) queue); each run
+        stacks into a :class:`RaggedBatch` segment and the whole thing
+        executes as one engine dispatch
+        (:func:`~repro.dynamics.batch.batch_evaluate_ragged`).  A
+        single-robot batch is a one-segment ragged batch.  Per-robot
         cycle profiles still apply — the modeled makespan is the sum of
         the per-segment makespans (the accelerator reprograms between
         robot structures), and each request's modeled latency comes from
@@ -1384,7 +1326,8 @@ class DynamicsService:
         backend_name = self._shard_backends[shard.index]
         accel_config = self._shard_accels[shard.index]
         cache = self._shard_caches[shard.index]
-        # Failures propagate to _execute_resilient's recovery ladder.
+        # Failures propagate to _execute_resilient's recovery ladder
+        # (degrade / retry / isolate / fail) — no blanket handler here.
         ragged = RaggedBatch()
         seg_meta: list[tuple[RobotArtifacts, list[ServeRequest]]] = []
         i = 0
@@ -1396,6 +1339,8 @@ class DynamicsService:
             artifacts = cache.get(seg[0].robot, backend=backend_name)
             nv = artifacts.model.nv
             zero = np.zeros(nv)
+            # stack_rows coerces to C-contiguous float64 and names the
+            # offending request on a per-row shape mismatch.
             q = stack_rows("q", [r.q for r in seg], (nv,))
             qd = stack_rows(
                 "qd", [zero if r.qd is None else r.qd for r in seg],
@@ -1421,11 +1366,8 @@ class DynamicsService:
             for artifacts, seg in seg_meta
         ]
         makespan = sum(p.makespan_cycles for p in profiles)
-        self.metrics.record_batch(len(batch), makespan,
-                                  engine=engine.name, backend=backend_name,
-                                  shard=shard.index, wall_s=exec_wall,
-                                  segments=len(seg_meta))
-        self.pool.recalibrate_weights(self.metrics.measured_shard_rps())
+        self._book_batch(shard, len(batch), makespan, exec_wall,
+                         segments=len(seg_meta))
         now = time.monotonic()
         k = 0
         for (artifacts, seg), profile in zip(seg_meta, profiles):
@@ -1433,39 +1375,45 @@ class DynamicsService:
                 profile.mean_latency_cycles
             )
             for r in seg:
-                value = values[k]
+                self._resolve(r, ServeResult(
+                    robot=r.robot,
+                    function=function,
+                    value=values[k],
+                    wall_latency_s=now - r.arrival_s,
+                    modeled_latency_cycles=profile.mean_latency_cycles,
+                    modeled_latency_s=modeled_s,
+                    modeled_makespan_cycles=makespan,
+                    batch_size=len(batch),
+                    shard=shard.index,
+                    engine=engine.name,
+                    backend=backend_name,
+                ))
                 k += 1
-                self._forget(r)
-                if r.future.cancelled():
-                    continue
-                self.metrics.record_request(now - r.arrival_s, modeled_s)
-                try:
-                    r.future.set_result(ServeResult(
-                        robot=r.robot,
-                        function=function,
-                        value=value,
-                        wall_latency_s=now - r.arrival_s,
-                        modeled_latency_cycles=profile.mean_latency_cycles,
-                        modeled_latency_s=modeled_s,
-                        modeled_makespan_cycles=makespan,
-                        batch_size=len(batch),
-                        shard=shard.index,
-                        engine=engine.name,
-                        backend=backend_name,
-                    ))
-                except InvalidStateError:
-                    continue    # cancellation raced; don't strand batchmates
         return makespan
 
     def _execute_rollout(self, shard: ShardState,
                          batch: list[RolloutRequest]) -> float:
-        """Run one coalesced rollout slab on ``shard``.
+        """Run one coalesced rollout slab on ``shard``, window by window.
 
         All requests in the batch share one key (robot, scheme, dt,
-        horizon, contact set), so their initial states and control
-        sequences stack into one ``(n, T, ...)`` rollout; the modeled
-        accelerator cost is ``T`` serial FD passes (times the scheme's
-        stage count) over the n-task batch.
+        horizon, contact set, window), so their initial states and
+        control sequences stack into one ``(n, T, ...)`` slab; the
+        modeled accelerator cost is ``T`` serial FD passes (times the
+        scheme's stage count) over the n-task batch.
+
+        The slab advances per window of ``first.window`` knots — a
+        non-streamed rollout is a one-window stream.  For streamed
+        requests, after each window every live request's ``on_window``
+        callback fires with its task's window slice, and at the end the
+        windows are reassembled (:func:`repro.rollout.concat_windows`)
+        into the full trajectory — bitwise equal to a one-window run,
+        since the integrators carry only the last state between windows.
+
+        Cancellation: stepping stops early only once *every* request in
+        the batch has been stream-cancelled (batchmates still need the
+        tail rows of the shared slab).  Cancelled requests resolve with
+        :class:`~repro.serve.request.StreamCancelledError` whether or
+        not their batchmates forced the tail to be simulated.
         """
         first = batch[0]
         engine = self._shard_engines[shard.index]
@@ -1473,6 +1421,7 @@ class DynamicsService:
         accel_config = self._shard_accels[shard.index]
         n = len(batch)
         t_steps = first.horizon
+        streamed = first.window is not None
         # Failures propagate to _execute_resilient's recovery ladder.
         artifacts = self._shard_caches[shard.index].get(
             first.robot, backend=backend_name
@@ -1493,98 +1442,24 @@ class DynamicsService:
                 else np.ones((t_steps, c), dtype=bool)
                 for r in batch
             ])
-        f_ext = self._stack_f_ext(batch)
         plan = artifacts.rollout_plan(first.scheme, engine, backend_name)
-        if first.window is not None:
-            return self._execute_rollout_windowed(
-                shard, batch, plan, model, q0, qd0, controls,
-                contacts=contacts, mask=mask, f_ext=f_ext,
-                artifacts=artifacts,
-            )
-        exec_start = time.perf_counter()
-        result = plan.rollout(
-            model, q0, qd0, controls, dt=first.dt, contacts=contacts,
-            contact_mask=mask, f_ext=f_ext,
-            sensitivities=first.sensitivities,
-        )
-        exec_wall = time.perf_counter() - exec_start
-        profile = self._profile(artifacts, RBDFunction.FD, n, False,
-                                config=accel_config)
-        # Modeled cost: the scheme's FD passes are serial in t but
-        # batched across tasks — T * stages pipeline fills of an n-batch.
-        passes = SCHEMES[first.scheme] * t_steps
-        makespan = profile.makespan_cycles * passes
-        latency_cycles = profile.mean_latency_cycles * passes
-        self.metrics.record_batch(
-            n, makespan, engine=engine.name, backend=backend_name,
-            shard=shard.index, wall_s=exec_wall, rows=n * t_steps,
-        )
-        self.pool.recalibrate_weights(self.metrics.measured_shard_rps())
-        modeled_s = accel_config.cycles_to_seconds(latency_cycles)
-        now = time.monotonic()
-        for k, r in enumerate(batch):
-            self._forget(r)
-            if r.future.cancelled():
-                continue
-            self.metrics.record_request(now - r.arrival_s, modeled_s)
-            self.metrics.record_rollout(t_steps, now - r.arrival_s)
-            try:
-                r.future.set_result(RolloutServeResult(
-                    robot=r.robot,
-                    scheme=r.scheme,
-                    value=result.task(k),
-                    wall_latency_s=now - r.arrival_s,
-                    modeled_latency_cycles=latency_cycles,
-                    modeled_latency_s=modeled_s,
-                    modeled_makespan_cycles=makespan,
-                    horizon=t_steps,
-                    batch_size=n,
-                    shard=shard.index,
-                    engine=engine.name,
-                    backend=backend_name,
-                ))
-            except InvalidStateError:
-                continue
-        return makespan
-
-    def _execute_rollout_windowed(
-        self, shard: ShardState, batch: list[RolloutRequest], plan,
-        model, q0: np.ndarray, qd0: np.ndarray, controls: np.ndarray, *,
-        contacts, mask, f_ext, artifacts: RobotArtifacts,
-    ) -> float:
-        """Run one coalesced *streaming* rollout slab on ``shard``.
-
-        The slab advances per window of ``first.window`` knots; after
-        each window every live request's ``on_window`` callback fires
-        with its task's window slice, and at the end the windows are
-        reassembled (:func:`repro.rollout.concat_windows`) into the same
-        full trajectory the non-windowed path produces — bitwise, since
-        the integrators carry only the last state between windows.
-
-        Cancellation: stepping stops early only once *every* request in
-        the batch has been stream-cancelled (batchmates still need the
-        tail rows of the shared slab).  Cancelled requests resolve with
-        :class:`~repro.serve.request.StreamCancelledError` whether or
-        not their batchmates forced the tail to be simulated.
-        """
-        first = batch[0]
-        engine = self._shard_engines[shard.index]
-        backend_name = self._shard_backends[shard.index]
-        accel_config = self._shard_accels[shard.index]
-        n = len(batch)
-        t_steps = first.horizon
-        tracer = self.tracer
+        tracer = self.tracer if streamed and first.trace_id else None
         windows: list = []
         t_done = 0
         exec_start = time.perf_counter()
         w_t0 = exec_start
         for t0, t1, wres in plan.rollout_windows(
-            model, q0, qd0, controls, dt=first.dt, window=first.window,
-            contacts=contacts, contact_mask=mask, f_ext=f_ext,
+            model, q0, qd0, controls, dt=first.dt,
+            window=first.window or t_steps,
+            contacts=contacts, contact_mask=mask,
+            f_ext=self._stack_f_ext(batch),
+            sensitivities=first.sensitivities,
             cancelled=lambda: all(r.stream_cancelled() for r in batch),
         ):
             windows.append(wres)
             t_done = t1
+            if not streamed:
+                continue
             done = t1 >= t_steps
             for k, r in enumerate(batch):
                 callback = r.on_window
@@ -1597,7 +1472,7 @@ class DynamicsService:
                     # (or trip the shard's recovery ladder).
                     pass
             w_now = time.perf_counter()
-            if tracer is not None and first.trace_id:
+            if tracer is not None:
                 tracer.record(
                     "serve.window", w_t0, w_now - w_t0,
                     trace_id=first.trace_id,
@@ -1609,49 +1484,36 @@ class DynamicsService:
         result = windows[0] if len(windows) == 1 else concat_windows(windows)
         profile = self._profile(artifacts, RBDFunction.FD, n, False,
                                 config=accel_config)
-        # Modeled cost scales with the knots actually simulated: a
-        # cancelled stream hands back the unspent tail.
+        # Modeled cost: the scheme's FD passes are serial in t but
+        # batched across tasks — T * stages pipeline fills of an n-batch,
+        # counting only the knots simulated (a cancelled stream hands
+        # back the unspent tail).
         passes = SCHEMES[first.scheme] * t_done
         makespan = profile.makespan_cycles * passes
         latency_cycles = profile.mean_latency_cycles * passes
-        self.metrics.record_batch(
-            n, makespan, engine=engine.name, backend=backend_name,
-            shard=shard.index, wall_s=exec_wall, rows=n * t_done,
-        )
-        self.pool.recalibrate_weights(self.metrics.measured_shard_rps())
+        self._book_batch(shard, n, makespan, exec_wall, rows=n * t_done)
         modeled_s = accel_config.cycles_to_seconds(latency_cycles)
         now = time.monotonic()
         for k, r in enumerate(batch):
-            self._forget(r)
-            if r.future.cancelled():
-                continue
             if r.stream_cancelled() or t_done < t_steps:
-                try:
-                    r.future.set_exception(StreamCancelledError(
-                        f"rollout stream cancelled after {t_done}/{t_steps}"
-                        f" knots (robot={r.robot!r})"
-                    ))
-                except InvalidStateError:
-                    pass
-                continue
-            self.metrics.record_request(now - r.arrival_s, modeled_s)
-            self.metrics.record_rollout(t_steps, now - r.arrival_s)
-            try:
-                r.future.set_result(RolloutServeResult(
-                    robot=r.robot,
-                    scheme=r.scheme,
-                    value=result.task(k),
-                    wall_latency_s=now - r.arrival_s,
-                    modeled_latency_cycles=latency_cycles,
-                    modeled_latency_s=modeled_s,
-                    modeled_makespan_cycles=makespan,
-                    horizon=t_steps,
-                    batch_size=n,
-                    shard=shard.index,
-                    engine=engine.name,
-                    backend=backend_name,
-                    windows=len(windows),
+                self._reject(r, StreamCancelledError(
+                    f"rollout stream cancelled after {t_done}/{t_steps}"
+                    f" knots (robot={r.robot!r})"
                 ))
-            except InvalidStateError:
                 continue
+            self._resolve(r, RolloutServeResult(
+                robot=r.robot,
+                scheme=r.scheme,
+                value=result.task(k),
+                wall_latency_s=now - r.arrival_s,
+                modeled_latency_cycles=latency_cycles,
+                modeled_latency_s=modeled_s,
+                modeled_makespan_cycles=makespan,
+                horizon=t_steps,
+                batch_size=n,
+                shard=shard.index,
+                engine=engine.name,
+                backend=backend_name,
+                windows=len(windows) if streamed else 0,
+            ))
         return makespan

@@ -7,6 +7,7 @@ import pytest
 
 from repro.dynamics.contact import ContactPoint
 from repro.model.library import load_robot
+from repro.obs import Tracer
 from repro.rollout import RolloutEngine, concat_windows
 from repro.serve import (
     DynamicsService,
@@ -123,10 +124,39 @@ class TestServeStreaming:
                 "iiwa", q0, qd0, us, dt=1e-3, scheme="rk4",
             ).result(timeout=30)
         assert windowed.windows == 4
+        assert plain.windows == 0
         assert seen == [(0, 4, False), (4, 8, False), (8, 12, False),
                         (12, 14, True)]
         assert np.array_equal(windowed.value.qs, plain.value.qs)
         assert np.array_equal(windowed.value.qds, plain.value.qds)
+        for field in ("modeled_latency_cycles", "modeled_makespan_cycles",
+                      "batch_size", "engine", "backend"):
+            assert getattr(windowed, field) == getattr(plain, field), field
+
+    def test_window_spans_booked_per_streamed_window(self):
+        model = load_robot("iiwa")
+        q0, qd0, us = _inputs(model, 12, seed=7)
+        tracer = Tracer()
+
+        def queued_trace_ids():
+            return [s.trace_id for s in tracer.spans()
+                    if s.name == "serve.queue"]
+
+        with DynamicsService(n_shards=1, tracer=tracer) as service:
+            service.submit_rollout("iiwa", q0, qd0, us, dt=1e-3,
+                                   window=4).result(timeout=30)
+            (streamed,) = queued_trace_ids()
+            service.submit_rollout("iiwa", q0, qd0, us,
+                                   dt=1e-3).result(timeout=30)
+            (whole,) = set(queued_trace_ids()) - {streamed}
+        windows = [s for s in tracer.spans() if s.name == "serve.window"]
+        assert len(windows) == 3
+        assert all(s.trace_id == streamed for s in windows)
+        assert [(s.args["t0"], s.args["t1"]) for s in windows] == [
+            (0, 4), (4, 8), (8, 12),
+        ]
+        assert not [s for s in tracer.trace(whole)
+                    if s.name == "serve.window"]
 
     def test_window_is_part_of_coalescing_key(self):
         model = load_robot("iiwa")
