@@ -9,37 +9,38 @@ the same level-scheduled sweeps as *pure functions*:
 * forward sweeps build each level's slab from the previous level (a
   gather by relative parent position) and concatenate — levels are
   contiguous slot runs, so no scatter is needed going down the tree;
-* backward sweeps accumulate into parents through the backend's
-  out-of-place :meth:`~repro.backend.ArrayBackend.at_add` scatter
-  (duplicate parent slots sum, mirroring ``_scatter_to_parents``);
+* backward sweeps accumulate into parents out of place: RNEA and ABA
+  through the backend's :meth:`~repro.backend.ArrayBackend.at_add`
+  scatter (duplicate parent slots sum, mirroring
+  ``_scatter_to_parents``), MMinvGen and the derivative sweep through
+  a parent-level segment sum (:meth:`FunctionalPlan._to_parents`);
 * DOF-row outputs are assembled in slot order (the order the levels
   produce them) and unpermuted once at the end with a precompiled
   position gather.
 
-A :class:`FunctionalPlan` borrows its *structure* — levels, groups,
-selector stacks, inertias, transform groups — from the host numpy
-:class:`ExecutionPlan` (structure compilation stays a host-side, one-time
-pass, exactly like the paper's offline bitstream build) and executes on
-any backend: with numpy the kernels run interpreted (the correctness
-reference CI exercises everywhere), with jax each Table-I function
-traces into one fused XLA program via :meth:`ArrayBackend.jit`.
-
-The mass-matrix and derivative sweeps here still use the *column-order*
-(dense-window) layout — MMinvGen at windows ``[col_start, nv)``, the
-derivative transfers at full ``nv`` width — and are now the only
-dense-window sweeps in the package: :class:`ExecutionPlan` runs the
-packed column layout only.  Porting them onto the packed layout is open
-work (on numpy the interpreted jit engine trails ``compiled`` most on
-branched Minv, e.g. hyq).  Equivalence against the ``loop`` engine holds
-at the suite's 1e-10 tolerance on every library robot.
+A :class:`FunctionalPlan` builds no structure tables.  It borrows all
+of them from the memoized host numpy :class:`ExecutionPlan`: the levels
+and groups, the constant stacks, and the packed column layout with its
+index tables (``packed_levels`` and ``col_pos``).  The two kernel
+families therefore run on one column layout, the paper's incremental
+column vectors (Fig 7b): MMinvGen works at each level's suffix window
+``[wp, nv)`` and the derivative forward sweep at its prefix ``[0, w)``.
+MMinvGen and the derivative backward sweep hand their accumulators from
+one level to the next, so each of their steps writes a stack the size
+of the parent level rather than a whole-robot one.  Structure
+compilation stays a host-side, one-time pass, like the paper's offline
+bitstream build.  Execution runs on any backend: with numpy the kernels
+run interpreted (the correctness reference CI exercises everywhere),
+with jax each Table-I function traces into one fused XLA program via
+:meth:`ArrayBackend.jit`.
+Equivalence against the ``loop`` engine holds at the suite's 1e-10
+tolerance on every library robot.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-
-import numpy as np
 
 from repro.backend import (
     ArrayBackend,
@@ -66,6 +67,13 @@ _EPS = 1e-12
 def _mv(x, v):
     """Batched matrix @ vector over arbitrary leading axes."""
     return (x @ v[..., None])[..., 0]
+
+
+def _blockmm(op, slab):
+    """``op @ slab[..., b, :]`` for every block ``b`` of an ``(n, L, r,
+    B, C)`` slab, as one matmul over ``B * C`` columns."""
+    out = op @ slab.reshape(slab.shape[:3] + (-1,))
+    return out.reshape(out.shape[:3] + slab.shape[3:])
 
 
 def fskew(xp, v):
@@ -166,12 +174,13 @@ def fcross_force(xp, a, f):
 class FunctionalPlan:
     """One robot's level schedule as pure functions on one backend.
 
-    Structure (levels, groups, constants) is borrowed from the memoized
-    host :class:`ExecutionPlan`; the constant stacks stay host numpy and
-    become trace constants when a kernel is jitted.  All kernel methods
-    take backend-native task-major operands and return backend-native
-    results — the :class:`~repro.dynamics.jit.JitEngine` owns the host
-    boundary and the compiled-callable cache.
+    Structure (levels, groups, constants, the packed column layout) is
+    borrowed from the memoized host :class:`ExecutionPlan`; the constant
+    stacks and index tables stay host numpy and become trace constants
+    when a kernel is jitted.  All kernel methods take backend-native
+    task-major operands and return backend-native results — the
+    :class:`~repro.dynamics.jit.JitEngine` owns the host boundary and the
+    compiled-callable cache.
     """
 
     def __init__(self, model: RobotModel,
@@ -180,13 +189,14 @@ class FunctionalPlan:
         self.xp = self.backend.xp
         self.ein = self.backend.einsum
         sp = plan_for(model, "numpy")
-        self.sp = sp
         self.nb, self.nv = sp.nb, sp.nv
         self.robot_name = sp.robot_name
         self.inertias = sp.inertias
         self.sel_all = sp.sel_all
         self.minus_gravity = sp.minus_gravity
         self.levels = sp.levels
+        self.packed_levels = sp.packed_levels
+        self.col_pos = sp.col_pos
         self.transform_groups = sp.transform_groups
         self.slot_of_link = sp.slot_of_link
         for tg in self.transform_groups:
@@ -199,23 +209,6 @@ class FunctionalPlan:
                         "prismatic and floating joints; "
                         f"{sp.robot_name!r} has {sorted(set(bad))}"
                     )
-        # Per-level parent positions relative to the previous level (the
-        # forward-sweep gather; parents of level d live exactly in level
-        # d-1 because levels are depth wavefronts).
-        self.prel: list = [None]
-        for lvl in self.levels[1:]:
-            prev = self.levels[lvl.index - 1]
-            self.prel.append(
-                np.asarray(lvl.parent_slots - prev.lo, dtype=np.intp)
-            )
-        # Slot-major DOF order: outputs are assembled level by level,
-        # group by group, then unpermuted with one position gather.
-        perm = np.concatenate([
-            g.dofs.reshape(-1) for lvl in self.levels for g in lvl.groups
-        ]).astype(np.intp)
-        pos = np.empty(self.nv, dtype=np.intp)
-        pos[perm] = np.arange(self.nv)
-        self.dof_perm, self.dof_pos = perm, pos
         #: Trace-cache key: two models with identical compiled structure
         #: *and* constants share compiled callables.
         self.key = (sp.structure_hash(), self.backend.name)
@@ -260,7 +253,7 @@ class FunctionalPlan:
         carries the intermediates the derivative sweeps reuse."""
         xp, b = self.xp, self.backend
         v_sl, xv_sl, xa_sl, a_sl = [], [], [], []
-        for lvl in self.levels:
+        for lvl, pk in zip(self.levels, self.packed_levels):
             lo, hi = lvl.lo, lvl.hi
             X_l, vj_l, aj_l = X[:, lo:hi], vj[:, lo:hi], aj[:, lo:hi]
             if lvl.is_root:
@@ -269,10 +262,9 @@ class FunctionalPlan:
                 xa_l = X_l @ self.minus_gravity
                 a_l = xa_l + aj_l
             else:
-                prel = self.prel[lvl.index]
-                xv_l = _mv(X_l, v_sl[-1][:, prel])
+                xv_l = _mv(X_l, v_sl[-1][:, pk.prel])
                 v_l = xv_l + vj_l
-                xa_l = _mv(X_l, a_sl[-1][:, prel])
+                xa_l = _mv(X_l, a_sl[-1][:, pk.prel])
                 a_l = xa_l + aj_l + fcross_motion(xp, v_l, vj_l)
             v_sl.append(v_l)
             xv_sl.append(xv_l)
@@ -313,13 +305,12 @@ class FunctionalPlan:
 
         # Pass 1: velocities.
         v_sl = []
-        for lvl in self.levels:
+        for lvl, pk in zip(self.levels, self.packed_levels):
             lo, hi = lvl.lo, lvl.hi
             if lvl.is_root:
                 v_sl.append(vj[:, lo:hi])
             else:
-                prel = self.prel[lvl.index]
-                v_sl.append(_mv(X[:, lo:hi], v_sl[-1][:, prel])
+                v_sl.append(_mv(X[:, lo:hi], v_sl[-1][:, pk.prel])
                             + vj[:, lo:hi])
         v = xp.concatenate(v_sl, axis=1)
         c = fcross_motion(xp, v, vj)
@@ -374,13 +365,12 @@ class FunctionalPlan:
         # Pass 3: accelerations, forward.
         a_prev = None
         qdd_parts = []
-        for lvl in self.levels:
+        for lvl, pk in zip(self.levels, self.packed_levels):
             lo, hi = lvl.lo, lvl.hi
             if lvl.is_root:
                 ap_l = X[:, lo:hi] @ self.minus_gravity + c[:, lo:hi]
             else:
-                prel = self.prel[lvl.index]
-                ap_l = _mv(X[:, lo:hi], a_prev[:, prel]) + c[:, lo:hi]
+                ap_l = _mv(X[:, lo:hi], a_prev[:, pk.prel]) + c[:, lo:hi]
             a_parts = []
             for gi, g in enumerate(lvl.groups):
                 u, d_inv, u_tau = saved[(lvl.index, gi)]
@@ -400,184 +390,133 @@ class FunctionalPlan:
                     a_parts.append(ap_g + _mv(g.subspaces, qdd_g))
             a_prev = xp.concatenate(a_parts, axis=1)
         qdd_perm = xp.concatenate(qdd_parts, axis=1)
-        return qdd_perm[:, self.dof_pos]
+        return qdd_perm[:, self.col_pos]
+
+    # ------------------------------------------------------------------
+    # Packed-layout helpers
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _own(eye, pk, gi, g, lo, hi):
+        """``(Lg, k, hi - lo)`` one-hot rows: right-multiplying a
+        ``(..., k)`` per-link operand places it at the link's own packed
+        DOF columns (``pk.prow[gi]``) inside the column window
+        ``[lo, hi)``, zeros elsewhere."""
+        return eye[pk.prow[gi], lo:hi].reshape(g.size, g.k, hi - lo)
+
+    def _to_parents(self, lvl, pk, val):
+        """Sum per-link ``val`` slabs of a level into a fresh stack over
+        its parent level's links (siblings sharing a parent add up).
+
+        The segment sum is one matmul with the ``(parent, child)``
+        incidence matrix: dense, so it traces without a scatter and runs
+        as BLAS on numpy.
+        """
+        n, size = val.shape[0], self.levels[lvl.index - 1].size
+        incidence = self.xp.eye(size)[:, pk.prel]
+        return (incidence @ val.reshape(n, lvl.size, -1)).reshape(
+            (n, size) + val.shape[2:]
+        )
 
     # ------------------------------------------------------------------
     # MMinvGen
     # ------------------------------------------------------------------
 
     def _mminv(self, X, *, out_minv):
-        """Dense-window MMinvGen backward sweep (+ forward for Minv)."""
-        xp, b = self.xp, self.backend
-        n = X.shape[0]
-        nv = self.nv
-        IA = xp.zeros((n, self.nb, 6, 6)) + self.inertias
-        f_acc = xp.zeros((n, self.nb, 6, nv))
-        row_blocks: dict = {}
+        """MMinvGen backward sweep (+ forward for Minv), packed columns.
+
+        A level works on its subtree window ``[wp, nv)``.  Its own
+        columns ``[wp, w)`` carry only the links' diagonal blocks (no
+        descendant writes there), and the descendant columns ``[w, nv)``
+        arrive from the child level, so each level hands its parent a
+        force stack at exactly the parent's descendant width.  Rows come
+        out in slot order and are unpermuted once, with both axes, at
+        the end.
+        """
+        xp = self.xp
+        n, nv = X.shape[0], self.nv
+        eye = xp.eye(nv)
+        rows: list = [None] * len(self.levels)     # per level, per group
         saved: dict = {}
-
+        f_in = ia_in = None     # child-level contributions, this level's links
         for lvl in reversed(self.levels):
-            lo, hi, w0 = lvl.lo, lvl.hi, lvl.col_start
-            width = nv - w0
-            blocks = []
+            pk = self.packed_levels[lvl.index]
+            lo, hi, wp, w = lvl.lo, lvl.hi, pk.wp, pk.w
+            if f_in is None:                        # deepest level
+                f_in = xp.zeros((n, lvl.size, 6, nv - w))
+                ia_in = xp.zeros((n, lvl.size, 6, 6))
+            IA = self.inertias[lo:hi] + ia_in
+            row_g, f_parts, ia_parts = [], [], []
             for gi, g in enumerate(lvl.groups):
-                sl = slice(g.lo, g.hi)
-                IA_g = IA[:, sl]
-                if g.k == 1:
-                    u = _mv(IA_g, g.axis)
-                    d = xp.einsum("ls,nls->nl", g.axis, u)
-                    stf = self.ein("ls,nlsv->nlv", g.axis,
-                                   f_acc[:, sl, :, w0:])
-                    diag_idx = (slice(None), np.arange(g.size),
-                                g.dofs[:, 0] - w0)
-                    if out_minv:
-                        d_inv = 1.0 / d
-                        block = -(d_inv[..., None] * stf)
-                        block = b.at_set(block, diag_idx, d_inv)
-                        saved[(lvl.index, gi)] = (u, d_inv)
-                        f_acc = b.at_add(
-                            f_acc,
-                            (slice(None), sl, slice(None),
-                             slice(w0, None)),
-                            u[..., :, None] * block[:, :, None, :],
-                        )
-                        if not lvl.is_root:
-                            IA = b.at_set(
-                                IA, (slice(None), sl),
-                                IA_g - (d_inv[..., None, None]
-                                        * (u[..., :, None]
-                                           * u[..., None, :])),
-                            )
-                    else:
-                        block = b.at_set(stf, diag_idx, d)
-                        f_acc = b.at_add(
-                            f_acc,
-                            (slice(None), g.slots, slice(None),
-                             g.dofs[:, 0]),
-                            xp.moveaxis(u, 1, 0),
-                        )
+                rl = slice(g.lo - lo, g.hi - lo)
+                own = self._own(eye, pk, gi, g, wp, w)
+                u = IA[:, rl] @ g.subspaces                 # (n, Lg, 6, k)
+                d = g.subspaces_t @ u
+                f_g = f_in[:, rl]                           # (n, Lg, 6, nv-w)
+                stf = g.subspaces_t @ f_g
+                if out_minv:
+                    d_inv = 1.0 / d if g.k == 1 else xp.linalg.inv(d)
+                    ud = u @ d_inv
+                    desc = -(d_inv @ stf)
+                    row_g.append(xp.concatenate([d_inv @ own, desc], -1))
+                    f_parts.append(xp.concatenate([ud @ own, f_g + u @ desc],
+                                                  -1))
+                    ia_parts.append(IA[:, rl] - ud @ xp.swapaxes(u, -1, -2))
+                    saved[(lvl.index, gi)] = (u, d_inv)
                 else:
-                    u = IA_g @ g.subspaces
-                    d = g.subspaces_t @ u
-                    stf = g.subspaces_t @ f_acc[:, sl, :, w0:]
-                    if out_minv:
-                        d_inv = xp.linalg.inv(d)
-                        block = (-(d_inv @ stf)).reshape(
-                            n, g.size * g.k, width
-                        )
-                        block = self._set_diag_blocks(block, g, w0, d_inv)
-                        saved[(lvl.index, gi)] = (u, d_inv)
-                        og = block.reshape(n, g.size, g.k, width)
-                        f_acc = b.at_add(
-                            f_acc,
-                            (slice(None), sl, slice(None),
-                             slice(w0, None)),
-                            u @ og,
-                        )
-                        if not lvl.is_root:
-                            IA = b.at_set(
-                                IA, (slice(None), sl),
-                                IA_g - (u @ d_inv)
-                                @ xp.swapaxes(u, -1, -2),
-                            )
-                    else:
-                        block = stf.reshape(n, g.size * g.k, width)
-                        block = self._set_diag_blocks(block, g, w0, d)
-                        for j in range(g.k):
-                            f_acc = b.at_add(
-                                f_acc,
-                                (slice(None), g.slots, slice(None),
-                                 g.dofs[:, j]),
-                                xp.moveaxis(u[..., j], 1, 0),
-                            )
-                blocks.append(block)
-            lvl_block = xp.concatenate(blocks, axis=1)
-            if w0:
-                pad = xp.zeros(lvl_block.shape[:-1] + (w0,))
-                lvl_block = xp.concatenate([pad, lvl_block], axis=-1)
-            row_blocks[lvl.index] = lvl_block
-            if not lvl.is_root:
-                xl = X[:, lo:hi]
-                xt = xp.swapaxes(xl, -1, -2)
-                f_acc = b.at_add(
-                    f_acc,
-                    (slice(None), lvl.parent_slots, slice(None),
-                     slice(w0, None)),
-                    xt @ f_acc[:, lo:hi, :, w0:],
-                )
-                IA = b.at_add(IA, (slice(None), lvl.parent_slots),
-                              (xt @ IA[:, lo:hi]) @ xl)
+                    row_g.append(xp.concatenate([d @ own, stf], -1))
+                    f_parts.append(xp.concatenate([u @ own, f_g], -1))
+            rows[lvl.index] = row_g
+            if lvl.is_root:
+                continue
+            xl = X[:, lo:hi]
+            xt = xp.swapaxes(xl, -1, -2)
+            f_in = self._to_parents(lvl, pk,
+                                    xt @ xp.concatenate(f_parts, axis=1))
+            if out_minv:
+                IA = xp.concatenate(ia_parts, axis=1)
+            ia_in = self._to_parents(lvl, pk, (xt @ IA) @ xl)
 
-        out_perm = xp.concatenate(
-            [row_blocks[i] for i in range(len(self.levels))], axis=1
-        )
-        out = out_perm[:, self.dof_pos]
-        if not out_minv:
-            return _symmetrize_from_rows(out, xp)
-        return self._minv_forward(X, out, saved)
-
-    def _set_diag_blocks(self, block, g, w0, d):
-        """Write each link's (k, k) diagonal block into a level row
-        block (multi-DOF groups; own DOF columns are contiguous)."""
-        b = self.backend
-        for j in range(g.size):
-            c0 = int(g.dofs[j, 0]) - w0
-            block = b.at_set(
-                block,
-                (slice(None), slice(j * g.k, (j + 1) * g.k),
-                 slice(c0, c0 + g.k)),
-                d[:, j],
+        if out_minv:
+            rows = self._minv_forward(X, rows, saved)
+        out = xp.zeros((n, nv, nv))
+        for pk, row_g in zip(self.packed_levels, rows):
+            out = self.backend.at_set(
+                out, (slice(None), slice(pk.wp, pk.w), slice(pk.wp, None)),
+                xp.concatenate([r.reshape(n, -1, nv - pk.wp)
+                                for r in row_g], axis=1),
             )
-        return block
+        ix = self.col_pos
+        return _symmetrize_from_rows(out, xp)[:, ix[:, None], ix[None, :]]
 
-    def _minv_forward(self, X, out, saved):
-        """Forward MMinvGen sweep over the assembled (global-row) out."""
-        xp, b = self.xp, self.backend
-        n = X.shape[0]
-        nv = self.nv
-        p_prop = xp.zeros((n, self.nb, 6, nv))
-        for lvl in self.levels:
-            lo, hi, w0 = lvl.lo, lvl.hi, lvl.col_start
-            width = nv - w0
+    def _minv_forward(self, X, rows, saved):
+        """Forward MMinvGen sweep over the backward sweep's row blocks.
+
+        Returns the corrected ``(n, Lg, k, nv - wp)`` row blocks.  Each
+        level passes its propagated stack on at the child level's window
+        ``[w, nv)``.
+        """
+        xp = self.xp
+        out: list = []
+        p_prev = None
+        for lvl, pk in zip(self.levels, self.packed_levels):
+            lo, hi = lvl.lo, lvl.hi
             if not lvl.is_root:
-                xpp = X[:, lo:hi] @ p_prop[:, lvl.parent_slots, :, w0:]
+                xpp = X[:, lo:hi] @ p_prev[:, pk.prel]
+            og_g, p_parts = [], []
             for gi, g in enumerate(lvl.groups):
-                sl = slice(g.lo, g.hi)
-                if g.k == 1:
-                    if not lvl.is_root:
-                        u, d_inv = saved[(lvl.index, gi)]
-                        corr = d_inv[..., None] * xp.einsum(
-                            "nls,nlsv->nlv", u, xpp[:, g.rel]
-                        )
-                        out = b.at_add(
-                            out,
-                            (slice(None), g.rows, slice(w0, None)),
-                            -corr,
-                        )
-                    og = out[:, g.rows, w0:]
-                    t = g.axis[:, :, None] * og[:, :, None, :]
+                og = rows[lvl.index][gi]
+                if lvl.is_root:
+                    p_parts.append(g.subspaces @ og)
                 else:
-                    if not lvl.is_root:
-                        u, d_inv = saved[(lvl.index, gi)]
-                        corr = d_inv @ (xp.swapaxes(u, -1, -2)
-                                        @ xpp[:, g.rel])
-                        out = b.at_add(
-                            out,
-                            (slice(None), g.rows, slice(w0, None)),
-                            -corr.reshape(n, len(g.rows), width),
-                        )
-                    og = out[:, g.rows, w0:].reshape(
-                        n, g.size, g.k, width
-                    )
-                    t = g.subspaces @ og
-                if not lvl.is_root:
-                    t = t + xpp[:, g.rel]
-                p_prop = b.at_set(
-                    p_prop,
-                    (slice(None), sl, slice(None), slice(w0, None)),
-                    t,
-                )
-        return _symmetrize_from_rows(out, xp)
+                    xpp_g = xpp[:, g.lo - lo:g.hi - lo]
+                    u, d_inv = saved[(lvl.index, gi)]
+                    og = og - d_inv @ (xp.swapaxes(u, -1, -2) @ xpp_g)
+                    p_parts.append(g.subspaces @ og + xpp_g)
+                og_g.append(og)
+            out.append(og_g)
+            p_prev = xp.concatenate(p_parts, axis=1)[..., pk.w - pk.wp:]
+        return out
 
     def m(self, q):
         return self._mminv(self.transforms(q), out_minv=False)
@@ -590,141 +529,96 @@ class FunctionalPlan:
     # ------------------------------------------------------------------
 
     def _derivatives(self, X, state):
-        """Paired d/dq, d/dqd sweeps over a completed RNEA state."""
-        xp, b = self.xp, self.backend
+        """Paired d/dq, d/dqd sweeps over a completed RNEA state.
+
+        The forward sweep carries each level's ``[dv/dq, dv/dqd, da/dq,
+        da/dqd]`` stacks on a block axis behind the spatial row axis, at
+        the level's path prefix ``[0, w)``: every 6x6 operator then
+        applies as one matmul over ``4 * w`` columns.  The parents'
+        prefix ``[0, wp)`` propagates by one such matmul, and the
+        ``[wp, w)`` gap holds only the level's own one-hot joint terms.
+        The backward sweep hands each level's full-width ``DF`` pair to
+        the parent level and extracts rows in slot order; one
+        ``col_pos`` gather unpermutes both axes.
+        """
+        xp = self.xp
         v, xv, xa, f, vj = (state["v"], state["xv"], state["xa"],
                             state["f"], state["vj"])
-        n = v.shape[0]
-        nv = self.nv
-        nv2 = 2 * nv
+        n, nv = v.shape[0], self.nv
+        eye = xp.eye(nv)
         gyro = (fcrf_bar(xp, _mv(self.inertias, v))
                 + fcrf(xp, v) @ self.inertias)
         cvj = fcrm(xp, vj)
+        x3 = xp.stack([xv, xa, v], axis=2)                   # (n, nb, 3, 6)
 
-        # Forward sweep: per-level [dv/dq | dv/dqd | da/dq | da/dqd].
-        df_sl = []
+        # Forward sweep.
+        df_lvl = []
         prev = None
-        for lvl in self.levels:
+        for lvl, pk in zip(self.levels, self.packed_levels):
             lo, hi = lvl.lo, lvl.hi
-            if lvl.is_root:
-                slab = xp.zeros((n, hi - lo, 6, 4 * nv))
-            else:
-                slab = xp.matmul(X[:, lo:hi],
-                                 prev[:, self.prel[lvl.index]])
-            for g in lvl.groups:
-                if g.k == 1:
-                    if not lvl.is_root:
-                        slab = b.at_add(
-                            slab,
-                            (slice(None), g.rel, slice(None),
-                             g.dofs[:, 0]),
-                            xp.moveaxis(fcross_motion(
-                                xp, xv[:, g.lo:g.hi], g.axis), 1, 0),
-                        )
-                    slab = b.at_add(
-                        slab,
-                        (slice(None), g.rel, slice(None),
-                         nv + g.dofs[:, 0]),
-                        g.axis[:, None],
-                    )
-                    slab = b.at_add(
-                        slab,
-                        (slice(None), g.rel, slice(None),
-                         nv2 + g.dofs[:, 0]),
-                        xp.moveaxis(fcross_motion(
-                            xp, xa[:, g.lo:g.hi], g.axis), 1, 0),
-                    )
-                else:
-                    sel = lvl.sel[g.rel]
-                    rl = slice(g.lo - lo, g.hi - lo)
-                    if not lvl.is_root:
-                        slab = b.at_add(
-                            slab,
-                            (slice(None), rl, slice(None), slice(0, nv)),
-                            fcrm(xp, xv[:, g.lo:g.hi]) @ sel,
-                        )
-                    slab = b.at_add(
-                        slab,
-                        (slice(None), rl, slice(None), slice(nv, nv2)),
-                        xp.zeros((n, 1, 6, nv)) + sel,
-                    )
-                    slab = b.at_add(
-                        slab,
-                        (slice(None), rl, slice(None),
-                         slice(nv2, 3 * nv)),
-                        fcrm(xp, xa[:, g.lo:g.hi]) @ sel,
-                    )
+            own = []
+            for gi, g in enumerate(lvl.groups):
+                # x x S_j per subspace column, for x in (xv, xa, v); xv is
+                # zero at the root, so dv/dq has no root joint term.
+                cx = xp.moveaxis(fcross_motion(
+                    xp, x3[:, g.lo:g.hi, :, None], g.subspaces_t[:, None]
+                ), -1, 2)                                    # (n, Lg, 6, 3, k)
+                terms = xp.concatenate([
+                    cx[:, :, :, :1],
+                    xp.zeros_like(cx[:, :, :, :1]) + g.subspaces[:, :, None],
+                    cx[:, :, :, 1:],
+                ], axis=3)
+                own.append(terms @ self._own(eye, pk, gi, g, pk.wp, pk.w)
+                           [:, None])
+            slab = xp.concatenate(own, axis=1)          # (n, L, 6, 4, w-wp)
+            if not lvl.is_root:
+                slab = xp.concatenate(
+                    [_blockmm(X[:, lo:hi], prev[:, pk.prel]), slab], axis=-1
+                )
             # a_i includes v_i x vj: differentiate both factors.
-            slab = xp.concatenate([
-                slab[..., :nv2],
-                slab[..., nv2:] - cvj[:, lo:hi] @ slab[..., :nv2],
-            ], axis=-1)
-            for g in lvl.groups:
-                if g.k == 1:
-                    slab = b.at_add(
-                        slab,
-                        (slice(None), g.rel, slice(None),
-                         3 * nv + g.dofs[:, 0]),
-                        xp.moveaxis(fcross_motion(
-                            xp, v[:, g.lo:g.hi], g.axis), 1, 0),
-                    )
-                else:
-                    rl = slice(g.lo - lo, g.hi - lo)
-                    slab = b.at_add(
-                        slab,
-                        (slice(None), rl, slice(None),
-                         slice(3 * nv, 4 * nv)),
-                        fcrm(xp, v[:, g.lo:g.hi]) @ lvl.sel[g.rel],
-                    )
-            df_sl.append(self.inertias[lo:hi] @ slab[..., nv2:]
-                         + gyro[:, lo:hi] @ slab[..., :nv2])
-            prev = slab
-        DF = xp.concatenate(df_sl, axis=1)
+            dv = slab[:, :, :, :2]
+            da = slab[:, :, :, 2:] - _blockmm(cvj[:, lo:hi], dv)
+            # DF pair (n, L, 6, 2, w): [df/dq, df/dqd].
+            df_lvl.append(_blockmm(self.inertias[lo:hi], da)
+                          + _blockmm(gyro[:, lo:hi], dv))
+            prev = xp.concatenate([dv, da], axis=3)
 
         # Backward sweep: extract each level's dtau rows *before* the
-        # own-column btr term lands, then propagate to the parents.
-        row_blocks: dict = {}
+        # own-column btr term lands, then hand the level to its parents.
+        row_blocks = []
+        c_in = None
         for lvl in reversed(self.levels):
-            lo, hi = lvl.lo, lvl.hi
-            blocks = []
-            for g in lvl.groups:
-                if g.k == 1:
-                    blocks.append(self.ein("ls,nlsv->nlv", g.axis,
-                                           DF[:, g.lo:g.hi]))
-                else:
-                    blocks.append(
-                        (g.subspaces_t @ DF[:, g.lo:g.hi]).reshape(
-                            n, g.size * g.k, nv2
-                        )
-                    )
-            row_blocks[lvl.index] = xp.concatenate(blocks, axis=1)
+            pk = self.packed_levels[lvl.index]
+            lo, hi, w = lvl.lo, lvl.hi, pk.w
+            acc = df_lvl[lvl.index]
+            if c_in is not None:
+                acc = xp.concatenate([acc + c_in[..., :w], c_in[..., w:]],
+                                     axis=-1)
+            parts, bt = [], []
+            for gi, g in enumerate(lvl.groups):
+                acc_g = acc[:, g.lo - lo:g.hi - lo]
+                parts.append(_blockmm(g.subspaces_t, acc_g)
+                             .reshape(n, -1, 2, nv))
+                if not lvl.is_root:
+                    # S_j x* f at the link's own dq columns.
+                    btr = fcross_force(xp, g.subspaces_t,
+                                       f[:, g.lo:g.hi, None])
+                    bt.append(xp.swapaxes(btr, -1, -2)
+                              @ self._own(eye, pk, gi, g, 0, nv))
+            row_blocks.append(xp.concatenate(parts, axis=1))
             if lvl.is_root:
                 continue
-            for g in lvl.groups:
-                if g.k == 1:
-                    DF = b.at_add(
-                        DF,
-                        (slice(None), g.slots, slice(None),
-                         g.dofs[:, 0]),
-                        xp.moveaxis(fcross_force(
-                            xp, g.axis, f[:, g.lo:g.hi]), 1, 0),
-                    )
-                else:
-                    DF = b.at_add(
-                        DF,
-                        (slice(None), slice(g.lo, g.hi), slice(None),
-                         slice(0, nv)),
-                        self.ein("lvij,nlj->nliv", lvl.btr[g.rel],
-                                 f[:, g.lo:g.hi]),
-                    )
-            xt = xp.swapaxes(X[:, lo:hi], -1, -2)
-            DF = b.at_add(DF, (slice(None), lvl.parent_slots),
-                          xt @ DF[:, lo:hi])
+            bt = xp.concatenate(bt, axis=1)                  # (n, L, 6, nv)
+            acc = xp.concatenate([acc[:, :, :, :1] + bt[:, :, :, None],
+                                  acc[:, :, :, 1:]], axis=3)
+            c_in = self._to_parents(
+                lvl, pk, _blockmm(xp.swapaxes(X[:, lo:hi], -1, -2), acc)
+            )
 
-        rows = xp.concatenate(
-            [row_blocks[i] for i in range(len(self.levels))], axis=1
-        )[:, self.dof_pos]
-        return rows[..., :nv], rows[..., nv:]
+        rows = xp.concatenate(row_blocks[::-1], axis=1)      # (n, nv, 2, nv)
+        ix = self.col_pos
+        return (rows[:, :, 0][:, ix[:, None], ix[None, :]],
+                rows[:, :, 1][:, ix[:, None], ix[None, :]])
 
     def did(self, q, qd, qdd, fx=None):
         X = self.transforms(q)

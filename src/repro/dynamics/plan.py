@@ -143,9 +143,6 @@ class PlanLevel:
     parents_unique: bool     # no two level links share a parent
     groups: tuple[LevelGroup, ...]
     sel: np.ndarray          # (L, 6, nv) expanded subspace selectors
-    btr: np.ndarray          # (L, nv, 6, 6) crf(S_col) at own DOF columns
-    col_start: int           # min own-DOF start (the functional kernels'
-                             # column-order MMinvGen window)
 
     @property
     def size(self) -> int:
@@ -179,6 +176,13 @@ class PackedLevel:
     so backward accumulation scatters at the tighter window.  ``own_pos`` gives, per :class:`LevelGroup`, each link's own
     DOF columns in the packed layout — the owned columns the sweeps
     scatter results back to.
+
+    Two kernel families read these tables: the in-place sweeps of
+    :class:`ExecutionPlan`, and the out-of-place sweeps of
+    :class:`~repro.dynamics.functional.FunctionalPlan` behind the ``jit``
+    engine, which use ``w``/``wp`` for their windows, ``prel`` for
+    parent gathers and sums, ``prow`` to place own-column terms, and
+    the plan's ``col_pos`` to unpermute their outputs.
     """
 
     w: int                        # prefix width: DOF count of slots [0, hi)
@@ -382,7 +386,6 @@ class ExecutionPlan:
                 lvl,
                 parent_slots=dev(lvl.parent_slots),
                 sel=dev(lvl.sel),
-                btr=dev(lvl.btr),
                 groups=tuple(
                     _dc_replace(
                         g,
@@ -457,11 +460,6 @@ class ExecutionPlan:
                     len(np.unique(parent_slots)) == len(parent_slots)
                 )
             sel = self.sel_all[lo:hi]
-            btr = np.zeros((len(links), self.nv, 6, 6))
-            for pos, link in enumerate(links):
-                s = subspaces[link]
-                for k in range(s.shape[1]):
-                    btr[pos, starts[link] + k] = crf(s[:, k])
             groups = self._build_groups(model, subspaces, starts, stops,
                                         links, lo)
             levels.append(PlanLevel(
@@ -476,8 +474,6 @@ class ExecutionPlan:
                 parents_unique=parents_unique,
                 groups=groups,
                 sel=sel,
-                btr=btr,
-                col_start=int(starts[links].min()),
             ))
             lo = hi
         return tuple(levels)
@@ -613,7 +609,10 @@ class ExecutionPlan:
             sel_packed = btr_packed = None
             if any(g.k > 1 for g in lvl.groups):
                 sel_packed = np.ascontiguousarray(lvl.sel[:, :, perm[:w]])
-                btr_packed = np.ascontiguousarray(lvl.btr[:, perm])
+                # crf(S_col) at each link's own packed DOF columns.
+                btr_packed = np.zeros((lvl.size, nv, 6, 6))
+                for g, p in zip(lvl.groups, own_pos):
+                    btr_packed[g.rel[:, None], p] = crf(g.subspaces_t)
             prel = pslice = prelslice = None
             if not lvl.is_root:
                 prel = (lvl.parent_slots
@@ -1624,7 +1623,7 @@ class ExecutionPlan:
         for lvl in self.levels:
             h.update(
                 f"L{lvl.index}:{lvl.depth}:{lvl.lo}:{lvl.hi}:"
-                f"{int(lvl.is_root)}:{lvl.col_start}".encode()
+                f"{int(lvl.is_root)}".encode()
             )
             h.update(_bytes(lvl.parent_slots))
             h.update(_bytes(lvl.sel))

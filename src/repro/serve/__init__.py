@@ -26,9 +26,7 @@ Architecture — the life of a request::
     * ``submit`` hands back a future immediately; the **dynamic batcher**
       coalesces same-``(robot, function)`` requests up to ``max_batch`` or
       ``max_wait_s`` (the latency/throughput knob), with a bounded queue
-      providing backpressure (``ServiceOverloaded``).  With the policy's
-      ``adaptive_wait`` flag the effective timeout shrinks while batches
-      fill before the deadline and relaxes again under sparse traffic.
+      providing backpressure (``ServiceOverloaded``).
     * A flushed batch lands on one **shard** — a modeled accelerator
       instance with its own cycle ledger — chosen round-robin or
       cost-aware least-loaded (backlog divided by the shard's throughput

@@ -27,15 +27,7 @@ from repro.serve.request import ServeRequest, ServiceOverloaded
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """The batcher's flush policy (the serve scheduler's configuration).
-
-    With ``adaptive_wait`` enabled the effective flush timeout tracks
-    recent occupancy (Clipper/TF-Serving style): every flush-on-full
-    halves the wait (arrivals fill batches before the deadline, so
-    waiting longer only adds latency) down to ``min_wait_s``, and every
-    flush-on-timeout doubles it back up to ``max_wait_s`` (traffic is
-    sparse again; trade latency for occupancy).
-    """
+    """The batcher's flush policy (the serve scheduler's configuration)."""
 
     max_batch: int = 64
     max_wait_s: float = 2e-3
@@ -46,10 +38,6 @@ class BatchPolicy:
     #: into proportionally narrower ``(n, T)`` slabs.  ``None`` disables
     #: the budget (count-only flushing).
     max_batch_cost: int | None = 8192
-    #: Scheduler-config flag: adapt the effective wait to recent occupancy.
-    adaptive_wait: bool = False
-    #: Floor of the adaptive wait (only meaningful with ``adaptive_wait``).
-    min_wait_s: float = 2.5e-4
     #: Ragged coalescing: when a queue flushes on timeout (or drain),
     #: fold in other pending *compatible* queues — plain requests for the
     #: same function on a different robot — up to ``max_batch``, so a
@@ -68,10 +56,6 @@ class BatchPolicy:
             raise ValueError("max_pending must be >= max_batch")
         if self.max_batch_cost is not None and self.max_batch_cost < 1:
             raise ValueError("max_batch_cost must be >= 1 (or None)")
-        if self.min_wait_s < 0:
-            raise ValueError("min_wait_s must be >= 0")
-        if self.adaptive_wait and self.min_wait_s > self.max_wait_s:
-            raise ValueError("min_wait_s must be <= max_wait_s")
 
 
 @dataclass
@@ -133,24 +117,7 @@ class DynamicBatcher:
         #: shed sweep and the flusher's tick tightening short-circuit
         #: when no queued request can expire (the common case).
         self._deadlines_pending = 0
-        #: Per-key adaptive flush timeout (absent key == max_wait_s).  The
-        #: wait adapts per (robot, function) stream: a hot key that fills
-        #: batches early must not collapse the coalescing window of a
-        #: sparse key sharing the batcher.
-        self._wait_by_key: dict[tuple, float] = {}
         self.stats = BatcherStats()
-
-    def _wait_for(self, key: tuple) -> float:
-        return self._wait_by_key.get(key, self.policy.max_wait_s)
-
-    @property
-    def effective_wait_s(self) -> float:
-        """The tightest flush timeout currently in force across keys
-        (== ``max_wait_s`` unless ``adaptive_wait`` has shrunk one)."""
-        with self._lock:
-            if not self._wait_by_key:
-                return self.policy.max_wait_s
-            return min(self._wait_by_key.values())
 
     def __len__(self) -> int:
         with self._lock:
@@ -189,18 +156,18 @@ class DynamicBatcher:
             return None
 
     def poll_expired(self, now: float) -> list[list[ServeRequest]]:
-        """Flush every key whose oldest request has waited the effective
-        timeout (``max_wait_s``, or less under ``adaptive_wait``).
+        """Flush every key whose oldest request has waited ``max_wait_s``.
 
         With ``policy.coalesce`` each timeout flush also folds in other
         pending compatible queues (same function, different robot, plain
         requests) up to ``max_batch`` — those queues would otherwise sit
         until their own deadline and then fragment into separate small
         batches."""
+        wait = self.policy.max_wait_s
         with self._lock:
             expired = [
                 key for key, group in self._pending.items()
-                if group and now - group[0].arrival_s >= self._wait_for(key)
+                if group and now - group[0].arrival_s >= wait
             ]
             if not self.policy.coalesce:
                 return [self._flush_locked(key, "timeout") for key in expired]
@@ -295,15 +262,12 @@ class DynamicBatcher:
             }
 
     def next_deadline(self) -> float | None:
-        """Earliest ``arrival_s + per-key wait`` over all pending groups."""
+        """Earliest ``arrival_s + max_wait_s`` over all pending groups."""
         with self._lock:
-            deadlines = [
-                g[0].arrival_s + self._wait_for(key)
-                for key, g in self._pending.items() if g
-            ]
-            if not deadlines:
+            arrivals = [g[0].arrival_s for g in self._pending.values() if g]
+            if not arrivals:
                 return None
-            return min(deadlines)
+            return min(arrivals) + self.policy.max_wait_s
 
     def _pop_queue_locked(self, key: tuple) -> list[ServeRequest]:
         batch = self._pending.pop(key)
@@ -342,27 +306,10 @@ class DynamicBatcher:
             batch.extend(self._pop_queue_locked(other))
             queues += 1
         self.stats.record_flush(len(batch), reason, queues=queues)
-        self._adapt_wait_locked(key, reason)
         return batch
 
     def _flush_locked(self, key: tuple, reason: str) -> list[ServeRequest]:
         batch = self._pop_queue_locked(key)
         self.stats.record_flush(len(batch), reason)
-        self._adapt_wait_locked(key, reason)
         return batch
 
-    def _adapt_wait_locked(self, key: tuple, reason: str) -> None:
-        if self.policy.adaptive_wait:
-            # Multiplicative-decrease on full (arrivals beat the deadline:
-            # stop paying for the wait), multiplicative-increase back on
-            # timeout (traffic went sparse again).  Per key: each
-            # (robot, function) stream adapts to its own arrival rate.
-            wait = self._wait_for(key)
-            if reason == "full":
-                self._wait_by_key[key] = max(self.policy.min_wait_s,
-                                             wait / 2.0)
-            elif reason == "timeout":
-                # The max() guard lets the wait recover even from a
-                # min_wait_s of zero.
-                self._wait_by_key[key] = min(self.policy.max_wait_s,
-                                             max(wait, 1e-5) * 2.0)

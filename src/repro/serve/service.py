@@ -701,7 +701,6 @@ class DynamicsService:
             "flushed_merged": self.batcher.stats.flushed_merged,
             "queues_per_flush": fragmentation["queues_per_flush"],
             "active_queues": fragmentation["active_queues"],
-            "effective_wait_s": self.batcher.effective_wait_s,
             "batcher_shed": self.batcher.stats.shed,
             "engine": self.engine.name,
             "backend": self.backend_name,
@@ -754,9 +753,6 @@ class DynamicsService:
         t.gauge("batcher_queues_per_flush",
                 "Mean distinct queues folded into each executed batch"
                 ).set(fragmentation["queues_per_flush"])
-        t.gauge("serve_effective_wait_seconds",
-                "Current adaptive batching window"
-                ).set(self.batcher.effective_wait_s)
         t.counter("cache_hits_total",
                   "Artifact-cache hits").set(self.cache.stats.hits)
         t.counter("cache_misses_total",

@@ -8,8 +8,10 @@ Two halves:
   through a compiled plan on each *available* backend (and through the
   ``"process"`` engine) must match the ``"loop"`` reference to 1e-10
   across all library robots at batch 1 and 256, including the f_ext
-  path.  Backends whose runtime is not installed (cupy/jax here) skip
-  cleanly instead of erroring.
+  path.  A 256-task batch runs whole through the engine under test and
+  is checked against ``loop`` on 16 rows (both ends plus 14 seeded
+  others, :func:`reference_rows`).  Backends whose runtime is not
+  installed (cupy/jax here) skip cleanly instead of erroring.
 """
 
 import numpy as np
@@ -241,16 +243,38 @@ def _batch_inputs(model, function, n, seed=0):
 _LOOP_CACHE: dict = {}
 
 
+def reference_rows(n):
+    """Rows of an ``n``-task batch checked against ``loop``: all of a
+    small batch; both ends plus 14 seeded others of a large one.  The
+    engine under test still runs the whole batch."""
+    if n <= 16:
+        return np.arange(n)
+    inner = np.random.default_rng(71).choice(np.arange(1, n - 1), 14,
+                                             replace=False)
+    return np.sort(np.concatenate([[0, n - 1], inner]))
+
+
 def loop_reference(robot, function, n):
-    """Memoized loop-engine results shared across backend/process cases."""
+    """Memoized loop-engine results on ``reference_rows(n)`` of the
+    ``_batch_inputs`` batch, shared across backend/process/jit cases."""
     key = (robot, function, n)
     if key not in _LOOP_CACHE:
         model = load_robot(robot)
         states, u, minv = _batch_inputs(model, function, n)
+        rows = reference_rows(n)
         _LOOP_CACHE[key] = batch_evaluate(
-            model, function, states, u, minv=minv, engine="loop"
+            model, function, BatchStates(states.q[rows], states.qd[rows]),
+            u[rows], minv=None if minv is None else minv[rows],
+            engine="loop",
         )
     return _LOOP_CACHE[key]
+
+
+def assert_matches_loop(robot, function, n, got):
+    """A full ``n``-task result ``got`` == loop on the reference rows."""
+    assert len(got) == n
+    assert_results_match(function, [got[k] for k in reference_rows(n)],
+                         loop_reference(robot, function, n))
 
 
 def assert_results_match(function, got, want):
@@ -279,8 +303,7 @@ def test_compiled_on_backend_matches_loop(backend_name, robot, n):
         states, u, minv = _batch_inputs(model, function, n)
         got = batch_evaluate(model, function, states, u, minv=minv,
                              engine=engine)
-        assert_results_match(function, got,
-                             loop_reference(robot, function, n))
+        assert_matches_loop(robot, function, n, got)
 
 
 @pytest.mark.parametrize(

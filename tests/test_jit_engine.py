@@ -24,8 +24,8 @@ from test_backend import (
     ROBOTS,
     TOL,
     _batch_inputs,
+    assert_matches_loop,
     assert_results_match,
-    loop_reference,
 )
 
 from repro.backend import (
@@ -37,8 +37,12 @@ from repro.dynamics import batch_evaluate
 from repro.dynamics.engine import available_engines, get_engine
 from repro.dynamics.functions import RBDFunction
 from repro.dynamics.jit import FUSED_SCHEMES, JitEngine
-from repro.model.library import load_robot
+from repro.model.joints import FloatingJoint, RevoluteJoint
+from repro.model.library import load_robot, random_tree
+from repro.model.robot import RobotBuilder
+from repro.model.topology import reroot, split_floating_base
 from repro.rollout import RolloutEngine
+from repro.spatial.random import random_inertia
 
 #: One engine per backend for the whole module, so compile caches warm
 #: across tests exactly like a long-lived process.
@@ -122,8 +126,68 @@ def test_jit_matches_loop(jit_engine, robot, n):
         states, u, minv = _batch_inputs(model, function, n)
         got = batch_evaluate(model, function, states, u, minv=minv,
                              engine=jit_engine)
-        assert_results_match(function, got,
-                             loop_reference(robot, function, n))
+        assert_matches_loop(robot, function, n, got)
+
+
+def _assert_matches_loop(engine, model, n=3, seed=0):
+    for function in FUNCTIONS:
+        states, u, minv = _batch_inputs(model, function, n, seed=seed)
+        got = batch_evaluate(model, function, states, u, minv=minv,
+                             engine=engine)
+        want = batch_evaluate(model, function, states, u, minv=minv,
+                              engine="loop")
+        assert_results_match(function, got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_jit_random_trees(jit_engine, seed):
+    """Non-library topologies, including non-contiguous subtrees."""
+    model = random_tree(9, seed=seed, floating=(seed % 2 == 0))
+    _assert_matches_loop(jit_engine, model, seed=seed)
+
+
+def floating_under_revolute():
+    """A revolute root carrying a revolute link and a floating link, the
+    latter with two revolute children: multi-DOF joints below the root
+    and a level that mixes one- and six-DOF groups."""
+    rng = np.random.default_rng(3)
+    builder = RobotBuilder("float_mid")
+    builder.add_link("base", None, RevoluteJoint([0.0, 0.0, 1.0]),
+                     random_inertia(rng))
+    builder.add_link("arm", "base", RevoluteJoint([0.0, 1.0, 0.0]),
+                     random_inertia(rng), translation=[0.2, 0.0, 0.1])
+    builder.add_link("body", "base", FloatingJoint(), random_inertia(rng),
+                     translation=[0.0, 0.3, 0.2])
+    for i, axis in enumerate(([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])):
+        builder.add_link(f"leg{i}", "body", RevoluteJoint(axis),
+                         random_inertia(rng),
+                         translation=[0.1 * (i + 1), -0.1, 0.0])
+    return builder.build()
+
+
+def test_jit_floating_joint_below_root(jit_engine):
+    """k > 1 joints off the root level: the MMinvGen articulated-inertia
+    update, the subspace selector terms and the btr terms.  ``compiled``
+    is checked too, since its ``btr_packed`` table serves this case."""
+    model = floating_under_revolute()
+    _assert_matches_loop(jit_engine, model)
+    _assert_matches_loop("compiled", model)
+
+
+@pytest.mark.parametrize("make, joints", [
+    (lambda: reroot(load_robot("atlas"), "torso2"), "ScrewJoint"),
+    (lambda: split_floating_base(load_robot("hyq")),
+     "SphericalJoint.*Translation3Joint"),
+], ids=["rerooted", "split_base"])
+def test_jit_declines_generic_joints(make, joints):
+    """Models with joints outside revolute/prismatic/floating raise the
+    degradable capability error, naming the joint types."""
+    from repro.dynamics import BatchStates
+
+    model = make()
+    q = BatchStates.random(model, 1, seed=0).q
+    with pytest.raises(BackendCapabilityError, match=joints):
+        JitEngine(backend="numpy").m_batch(model, q)
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,8 @@ from repro.model.library import ROBOT_REGISTRY, load_robot
 
 from test_backend import (
     _batch_inputs,
+    assert_matches_loop,
     assert_results_match,
-    loop_reference,
 )
 
 TOL = dict(rtol=1e-10, atol=1e-10)
@@ -49,8 +49,7 @@ def test_process_matches_loop(pool_engine, robot, n):
         states, u, minv = _batch_inputs(model, function, n)
         got = batch_evaluate(model, function, states, u, minv=minv,
                              engine=pool_engine)
-        assert_results_match(function, got,
-                             loop_reference(robot, function, n))
+        assert_matches_loop(robot, function, n, got)
     if n == 256:
         assert pool_engine.started
 

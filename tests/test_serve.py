@@ -443,80 +443,6 @@ class TestUrgentBypass:
                                urgent=True)
 
 
-class TestAdaptiveWait:
-    def _policy(self):
-        return BatchPolicy(max_batch=2, max_wait_s=1.0, min_wait_s=0.25,
-                           adaptive_wait=True)
-
-    def test_full_flushes_shrink_wait_to_floor(self):
-        batcher = DynamicBatcher(self._policy())
-        assert batcher.effective_wait_s == 1.0
-        batcher.add(_request(), now=0.0)
-        batcher.add(_request(), now=0.0)          # flush-on-full
-        assert batcher.effective_wait_s == pytest.approx(0.5)
-        batcher.add(_request(), now=0.1)
-        batcher.add(_request(), now=0.1)
-        assert batcher.effective_wait_s == pytest.approx(0.25)
-        batcher.add(_request(), now=0.2)
-        batcher.add(_request(), now=0.2)
-        assert batcher.effective_wait_s == pytest.approx(0.25)   # floored
-
-    def test_timeout_flushes_relax_wait_back(self):
-        batcher = DynamicBatcher(self._policy())
-        for _ in range(3):                         # shrink to the floor
-            batcher.add(_request(), now=0.0)
-            batcher.add(_request(), now=0.0)
-        assert batcher.effective_wait_s == pytest.approx(0.25)
-        batcher.add(_request(), now=10.0)
-        assert batcher.poll_expired(now=10.2) == []   # 0.2 < effective 0.25
-        assert len(batcher.poll_expired(now=10.25)) == 1
-        assert batcher.effective_wait_s == pytest.approx(0.5)
-        batcher.add(_request(), now=20.0)
-        batcher.poll_expired(now=20.5)
-        assert batcher.effective_wait_s == pytest.approx(1.0)    # capped
-
-    def test_adaptation_is_per_key(self):
-        """A hot key shrinking its wait must not tighten sparse keys'
-        coalescing windows (per-queue adaptation, as in Clipper)."""
-        batcher = DynamicBatcher(self._policy())
-        batcher.add(_request(), now=0.0)
-        batcher.add(_request(), now=0.0)           # FD key drops to 0.5
-        batcher.add(_request(RBDFunction.ID), now=5.0)
-        # The sparse ID key still enjoys the full max_wait_s deadline...
-        assert batcher.next_deadline() == pytest.approx(6.0)
-        assert batcher.poll_expired(now=5.6) == []
-        # ...while a new FD group expires on its own shrunk wait.
-        batcher.add(_request(), now=5.6)
-        flushed = batcher.poll_expired(now=6.1)
-        assert [b[0].function for b in flushed] == [RBDFunction.ID,
-                                                    RBDFunction.FD]
-
-    def test_static_policy_never_adapts(self):
-        batcher = DynamicBatcher(BatchPolicy(max_batch=2, max_wait_s=1.0))
-        batcher.add(_request(), now=0.0)
-        batcher.add(_request(), now=0.0)
-        assert batcher.effective_wait_s == 1.0
-
-    def test_invalid_adaptive_policy_rejected(self):
-        with pytest.raises(ValueError):
-            BatchPolicy(max_wait_s=1e-3, min_wait_s=1e-2, adaptive_wait=True)
-        with pytest.raises(ValueError):
-            BatchPolicy(min_wait_s=-1.0)
-
-    def test_service_honours_adaptive_flag(self):
-        policy = BatchPolicy(max_batch=2, max_wait_s=60.0, min_wait_s=1e-3,
-                             adaptive_wait=True)
-        with DynamicsService(policy, n_shards=1) as svc:
-            model = load_robot("pendulum")
-            futures = [
-                svc.submit("pendulum", RBDFunction.M, model.neutral_q())
-                for _ in range(2)
-            ]
-            for f in futures:
-                f.result(timeout=5.0)
-            assert svc.stats()["effective_wait_s"] == pytest.approx(30.0)
-
-
 class TestEngineRouting:
     def test_default_engine_is_compiled_and_recorded(self):
         with DynamicsService(
