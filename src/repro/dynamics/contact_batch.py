@@ -5,26 +5,25 @@ forward-kinematics sweeps; this module promotes the same constrained
 dynamics to whole-batch kernels on the engine/plan/backend stack, the
 shape the rollout subsystem (:mod:`repro.rollout`) consumes:
 
-* **batched contact Jacobians** from the execution plan's level schedule
-  (:meth:`repro.dynamics.plan.ExecutionPlan.world_transforms_batch`):
-  world transforms for the whole batch advance one tree level per slab
-  op, then each contact's positional Jacobian is assembled with one
-  fused op per supporting joint;
-* **batched KKT/Schur solves** on the engine's ``Minv`` output — the
-  operational-space inertia ``Lambda^-1 = J Minv J^T`` is built and
-  solved for all tasks at once via the backend's batched ``solve``;
-* **per-task contact-mode masks**: an ``active`` mask ``(n, c)`` selects
-  each task's contact set *inside* the shared solve (masked rows/columns
-  collapse to identity via ``where``), so tasks in different contact
-  modes still ride one batched KKT factorization — the rollout engine's
-  per-step mode switching;
+* **one staging per call** (:meth:`ExecutionPlan.stage
+  <repro.dynamics.plan.ExecutionPlan.stage>`): the joint transforms are
+  staged from ``q`` once, and one bias RNEA ``C = RNEA(q, qd, 0, f_ext)``
+  runs on them.  Its world transforms give the contact Jacobians, its
+  forward-sweep velocities and accelerations the ``Jdot qd`` drift term;
+* **free dynamics as ``Minv (tau - C)``**: when the engine runs this
+  very plan (``compiled`` on numpy, the serve default), ``Minv`` is
+  MMinvGen on the same staged transforms — the paper's FD composition,
+  with no ABA call.  Other engines supply ``Minv`` and the free
+  acceleration themselves;
+* **masked batched KKT/Schur solves** on that ``Minv``: per-task
+  ``(n, c)`` contact-mode masks collapse inactive rows/columns to the
+  identity inside one shared factorization, so tasks in different
+  contact modes (the rollout engine's per-step switching) share it;
 * **batched impulse resolution** for (in)elastic touchdown events.
 
 The kernels are registered as dispatchable functions next to the seven
-Table-I ones (:func:`repro.dynamics.batch.register_batch_function`,
-names ``"cFD"`` and ``"impulse"``), so ``batch_evaluate`` and service
-layers reach them through the same engine-selection machinery.
-
+Table-I ones (names ``"cFD"`` and ``"impulse"``), so ``batch_evaluate``
+and the service layers reach them through the same engine selection.
 All kernels match the per-task :mod:`repro.dynamics.contact` reference
 at 1e-10 (see ``tests/test_contact_batch.py``).
 """
@@ -35,10 +34,16 @@ from dataclasses import dataclass
 
 from repro.backend import host_backend, to_host
 from repro.dynamics.contact import ContactPoint, ConstrainedDynamicsResult
-from repro.dynamics.engine import Engine, get_engine, normalize_f_ext
-from repro.dynamics.plan import ExecutionPlan, plan_for
+from repro.dynamics.engine import (
+    CompiledEngine,
+    Engine,
+    get_engine,
+    normalize_f_ext,
+)
+from repro.dynamics.plan import ExecutionPlan, StagedState, plan_for
 from repro.model.robot import RobotModel
 from repro.obs import hooks as _obs
+from repro.spatial.motion import cross3
 from repro.spatial.transforms import (
     inverse_transform,
     transform_rotation,
@@ -89,25 +94,10 @@ def _batch_link_jacobians(
     return out
 
 
-def batch_contact_jacobian(
-    model: RobotModel,
-    q: np.ndarray,
-    contacts: list[ContactPoint],
-    plan: ExecutionPlan | None = None,
-    xw: np.ndarray | None = None,
-) -> np.ndarray:
-    """Stacked world-frame positional contact Jacobians ``(n, 3c, nv)``.
-
-    One level-scheduled world-transform sweep serves every contact point
-    of every task; contacts sharing a link share one link Jacobian.
-    ``xw`` lets callers that already computed the batch's world
-    transforms (:meth:`ExecutionPlan.world_transforms_batch`) share them.
-    """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if plan is None:
-        plan = plan_for(model)
-    if xw is None:
-        xw = plan.world_transforms_batch(q)
+def _contact_jacobian(model: RobotModel, xw: np.ndarray,
+                      contacts: list[ContactPoint]) -> np.ndarray:
+    """Stacked world-frame positional contact Jacobians from staged world
+    transforms; contacts sharing a link share one link Jacobian."""
     jacs = _batch_link_jacobians(model, xw, {c.link for c in contacts})
     rows = []
     for contact in contacts:
@@ -116,9 +106,42 @@ def batch_contact_jacobian(
         rot = np.swapaxes(transform_rotation(xw[:, contact.link]), -1, -2)
         omega_cols = np.swapaxes(jac[:, :3, :], -1, -2)      # (n, nv, 3)
         linear_cols = np.swapaxes(jac[:, 3:, :], -1, -2)
-        point_cols = linear_cols + np.cross(omega_cols, contact.point_local)
+        point_cols = linear_cols + cross3(omega_cols, contact.point_local)
         rows.append(rot @ np.swapaxes(point_cols, -1, -2))   # (n, 3, nv)
     return np.concatenate(rows, axis=1)
+
+
+def _jacobian_dot_qd(staged: StagedState,
+                     contacts: list[ContactPoint]) -> np.ndarray:
+    """``Jdot qd`` from the staged link velocities and velocity-product
+    accelerations: each contact's classical world acceleration in closed
+    form (the batched mirror of
+    :func:`repro.dynamics.contact.jacobian_dot_qd`)."""
+    cols = []
+    for contact in contacts:
+        v = staged.v[:, contact.link]
+        a = staged.avp[:, contact.link]
+        p = contact.point_local
+        v_point = v[:, 3:] + cross3(v[:, :3], p)
+        a_point = (a[:, 3:] + cross3(a[:, :3], p)
+                   + cross3(v[:, :3], v_point))
+        rot = np.swapaxes(transform_rotation(staged.xw[:, contact.link]),
+                          -1, -2)
+        cols.append((rot @ a_point[:, :, None])[..., 0])
+    return np.concatenate(cols, axis=1)
+
+
+def batch_contact_jacobian(
+    model: RobotModel,
+    q: np.ndarray,
+    contacts: list[ContactPoint],
+    plan: ExecutionPlan | None = None,
+) -> np.ndarray:
+    """Stacked world-frame positional contact Jacobians ``(n, 3c, nv)``
+    from one staging of ``q`` (:meth:`ExecutionPlan.stage`)."""
+    if plan is None:
+        plan = plan_for(model)
+    return _contact_jacobian(model, plan.stage(q).xw, contacts)
 
 
 def batch_contact_positions(
@@ -131,13 +154,13 @@ def batch_contact_positions(
     """World positions of the contact points: ``(n, c, 3)``.
 
     The rollout engine's ``"ground"`` contact mode derives per-step
-    active masks from these heights.
+    active masks from these heights; ``xw`` lets it pass the world
+    transforms its step already staged.
     """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if plan is None:
-        plan = plan_for(model)
     if xw is None:
-        xw = plan.world_transforms_batch(q)
+        if plan is None:
+            plan = plan_for(model)
+        xw = plan.stage(q).xw
     cols = []
     for contact in contacts:
         x = xw[:, contact.link]
@@ -153,34 +176,12 @@ def batch_jacobian_dot_qd(
     qd: np.ndarray,
     contacts: list[ContactPoint],
     plan: ExecutionPlan | None = None,
-    xw: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched analytic ``Jdot(q, qd) qd`` drift term: ``(n, 3c)``.
-
-    One level-scheduled velocity-kinematics sweep
-    (:meth:`~repro.dynamics.plan.ExecutionPlan.velocity_kinematics_batch`)
-    yields every link's spatial velocity and ``qdd = 0`` acceleration;
-    each contact's classical world acceleration follows in closed form —
-    the batched mirror of :func:`repro.dynamics.contact.jacobian_dot_qd`.
-    """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    qd = np.atleast_2d(np.asarray(qd, dtype=float))
+    """Batched analytic ``Jdot(q, qd) qd`` drift term ``(n, 3c)`` from
+    one staging of ``(q, qd)`` (:meth:`ExecutionPlan.stage`)."""
     if plan is None:
         plan = plan_for(model)
-    v_all, a_all = plan.velocity_kinematics_batch(q, qd)
-    if xw is None:
-        xw = plan.world_transforms_batch(q)
-    cols = []
-    for contact in contacts:
-        v = v_all[:, contact.link]
-        a = a_all[:, contact.link]
-        p = contact.point_local
-        v_point = v[:, 3:] + np.cross(v[:, :3], p)
-        a_point = (a[:, 3:] + np.cross(a[:, :3], p)
-                   + np.cross(v[:, :3], v_point))
-        rot = np.swapaxes(transform_rotation(xw[:, contact.link]), -1, -2)
-        cols.append((rot @ a_point[:, :, None])[..., 0])
-    return np.concatenate(cols, axis=1)
+    return _jacobian_dot_qd(plan.stage(q, qd), contacts)
 
 
 # ---------------------------------------------------------------------------
@@ -188,30 +189,50 @@ def batch_jacobian_dot_qd(
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_mask(active, n: int, c: int) -> np.ndarray:
-    """Broadcast an ``active`` contact mask to coordinates ``(n, 3c)``."""
-    mask = np.broadcast_to(np.asarray(active, dtype=bool), (n, c))
-    return np.repeat(mask, 3, axis=1)
+def _schur_solve(jac, minv, rhs, active, damping):
+    """Per-task masked solve of ``(J Minv J^T + damping I) x = -rhs``.
 
-
-def _masked_schur_solve(
-    lam: np.ndarray, rhs: np.ndarray, mask3: np.ndarray | None
-) -> np.ndarray:
-    """Solve ``lam x = rhs`` per task with inactive coordinates removed.
-
-    Inactive rows/columns collapse to the identity (``where``-masked) and
-    their right-hand sides to zero, so the solution carries exact zeros
-    there and the active block solves exactly its own sub-system — one
-    batched factorization serves every contact mode in the batch.
+    Inactive contacts' rows/columns collapse to the identity
+    (``where``-masked) and their right-hand sides to zero, so ``x``
+    carries exact zeros there and the active block solves exactly its
+    own sub-system — one batched factorization serves every contact mode
+    in the batch.  Returns ``(x, Minv J^T x)``.
     """
-    m = lam.shape[1]
-    if mask3 is not None:
-        idx = np.arange(m)
-        pair = mask3[:, :, None] & mask3[:, None, :]
-        lam = np.where(pair, lam, 0.0)
+    jt = np.swapaxes(jac, -1, -2)
+    lam = jac @ minv @ jt
+    n, m = rhs.shape
+    idx = np.arange(m)
+    lam[:, idx, idx] += damping
+    if active is not None:
+        mask3 = np.repeat(np.broadcast_to(
+            np.asarray(active, dtype=bool), (n, m // 3)), 3, axis=1)
+        lam = np.where(mask3[:, :, None] & mask3[:, None, :], lam, 0.0)
         lam[:, idx, idx] = np.where(mask3, lam[:, idx, idx], 1.0)
         rhs = np.where(mask3, rhs, 0.0)
-    return np.linalg.solve(lam, rhs[..., None])[..., 0]
+    x = -np.linalg.solve(lam, rhs[..., None])[..., 0]
+    return x, (minv @ (jt @ x[:, :, None]))[..., 0]
+
+
+def _stage(model, eng, plan, q, qd=None, tau=None, f_ext=None,
+           minv=None, free_qdd=None):
+    """One staging of ``(q, qd)`` plus the operands the Schur solve needs:
+    ``(staged, minv, free_qdd)``, ``free_qdd`` only when ``qd`` is given.
+
+    When ``eng`` evaluates on ``plan`` itself, ``Minv`` is MMinvGen on
+    the staged transforms and ``free_qdd = Minv (tau - C)``; any other
+    engine supplies both (device outputs cross to the host here).
+    """
+    own = (isinstance(eng, CompiledEngine)
+           and eng.backend_name == plan.backend.name)
+    staged = plan.stage(q, qd, f_ext, minv=own and minv is None)
+    if minv is None:
+        minv = staged.minv if own else to_host(eng.minv_batch(model, q))
+    if qd is not None and free_qdd is None:
+        if own:
+            free_qdd = (minv @ (tau - staged.bias)[:, :, None])[..., 0]
+        else:
+            free_qdd = to_host(eng.fd_batch(model, q, qd, tau, f_ext))
+    return staged, minv, free_qdd
 
 
 @dataclass
@@ -221,6 +242,25 @@ class BatchConstrainedResult:
     qdd: np.ndarray            # (n, nv)
     contact_forces: np.ndarray  # (n, 3c) world-frame forces, 3 per point
     active: np.ndarray | None = None   # (n, c) mask actually applied
+
+
+def _solve_constrained(model, staged, minv, free_qdd, contacts,
+                       active=None, damping=1e-10) -> BatchConstrainedResult:
+    """:func:`batch_constrained_fd` on one :func:`_stage` result (the
+    rollout engine passes the staging its contact mask already read)."""
+    n = free_qdd.shape[0]
+    t0 = _obs.kernel_begin()
+    jac = _contact_jacobian(model, staged.xw, contacts)
+    jdot_qd = _jacobian_dot_qd(staged, contacts)
+    _obs.kernel_end(t0, model.name, "contact.kinematics", n)
+    t0 = _obs.kernel_begin()
+    if active is not None:
+        active = np.broadcast_to(np.asarray(active, bool), (n, len(contacts)))
+    rhs = (jac @ free_qdd[:, :, None])[..., 0] + jdot_qd
+    forces, dqdd = _schur_solve(jac, minv, rhs, active, damping)
+    _obs.kernel_end(t0, model.name, "contact.schur", n)
+    return BatchConstrainedResult(qdd=free_qdd + dqdd,
+                                  contact_forces=forces, active=active)
 
 
 def batch_constrained_fd(
@@ -240,53 +280,26 @@ def batch_constrained_fd(
 ) -> BatchConstrainedResult:
     """Batched FD with (masked) contact points held at zero acceleration.
 
-    The free dynamics and ``Minv`` come from the selected execution
-    engine (any registered engine); the Schur complement on ``Minv`` is
-    one batched solve.  ``active`` is an optional per-task ``(n, c)``
-    mask — masked-out contacts contribute exactly zero force, matching a
-    per-task solve over only the active set.  ``minv``/``free_qdd`` let
-    steady-state callers (the rollout engine) reuse operands they
-    already computed.
+    ``(q, qd)`` is staged once on the host plan: the contact Jacobians,
+    the drift term and — when the engine runs that plan — ``Minv`` and
+    the free acceleration ``Minv (tau - C)`` all read that staging;
+    other engines supply ``Minv`` and the free acceleration.  The Schur
+    complement on ``Minv`` is one batched solve.  ``active`` is an
+    optional per-task ``(n, c)`` mask — masked-out contacts contribute
+    exactly zero force, matching a per-task solve over only the active
+    set.  ``minv``/``free_qdd`` let callers reuse operands they already
+    computed.
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
     qd = np.atleast_2d(np.asarray(qd, dtype=float))
     tau = np.atleast_2d(np.asarray(tau, dtype=float))
-    n = q.shape[0]
-    eng = get_engine(engine)
-    fe = normalize_f_ext(f_ext, n)
-    # The Schur solve runs host-side against the host contact Jacobians,
-    # so device-engine outputs cross the boundary here.
-    if minv is None:
-        minv = to_host(eng.minv_batch(model, q))
-    if free_qdd is None:
-        free_qdd = to_host(eng.fd_batch(model, q, qd, tau, fe))
     if plan is None:
         plan = plan_for(model)
-    # One world-transform sweep serves the Jacobian and the drift term.
-    t0 = _obs.kernel_begin()
-    xw = plan.world_transforms_batch(q)
-    jac = batch_contact_jacobian(model, q, contacts, plan, xw=xw)
-    jdot_qd = batch_jacobian_dot_qd(model, q, qd, contacts, plan=plan,
-                                    xw=xw)
-    _obs.kernel_end(t0, model.name, "contact.kinematics", n)
-    t0 = _obs.kernel_begin()
-    jt = np.swapaxes(jac, -1, -2)
-    lam = jac @ minv @ jt
-    m = jac.shape[1]
-    idx = np.arange(m)
-    lam[:, idx, idx] += damping
-    rhs = (jac @ free_qdd[:, :, None])[..., 0] + jdot_qd
-    mask3 = None
-    if active is not None:
-        active = np.broadcast_to(
-            np.asarray(active, dtype=bool), (n, len(contacts))
-        )
-        mask3 = _coordinate_mask(active, n, len(contacts))
-    forces = -_masked_schur_solve(lam, rhs, mask3)
-    qdd = free_qdd + (minv @ (jt @ forces[:, :, None]))[..., 0]
-    _obs.kernel_end(t0, model.name, "contact.schur", n)
-    return BatchConstrainedResult(qdd=qdd, contact_forces=forces,
-                                  active=active)
+    fe = normalize_f_ext(f_ext, q.shape[0])
+    staged, minv, free_qdd = _stage(model, get_engine(engine), plan, q, qd,
+                                    tau, fe, minv, free_qdd)
+    return _solve_constrained(model, staged, minv, free_qdd, contacts,
+                              active, damping)
 
 
 def batch_contact_impulse(
@@ -304,32 +317,23 @@ def batch_contact_impulse(
 ) -> np.ndarray:
     """Batched post-impact velocities ``(n, nv)`` for touchdown impacts.
 
-    ``restitution`` may be a scalar or an ``(n,)`` per-task coefficient;
-    ``active`` masks which contacts of each task actually impact.
+    One staging of ``q`` serves the contact Jacobians and ``Minv`` (as
+    in :func:`batch_constrained_fd`).  ``restitution`` may be a scalar
+    or an ``(n,)`` per-task coefficient; ``active`` masks which contacts
+    of each task actually impact.
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
     qd_minus = np.atleast_2d(np.asarray(qd_minus, dtype=float))
-    n = q.shape[0]
-    eng = get_engine(engine)
-    if minv is None:
-        minv = to_host(eng.minv_batch(model, q))
-    jac = batch_contact_jacobian(model, q, contacts, plan)
+    if plan is None:
+        plan = plan_for(model)
+    staged, minv, _ = _stage(model, get_engine(engine), plan, q, minv=minv)
+    jac = _contact_jacobian(model, staged.xw, contacts)
     t0 = _obs.kernel_begin()
-    jt = np.swapaxes(jac, -1, -2)
-    lam = jac @ minv @ jt
-    m = jac.shape[1]
-    idx = np.arange(m)
-    lam[:, idx, idx] += damping
-    v_contact = (jac @ qd_minus[:, :, None])[..., 0]
     rest = np.asarray(restitution, dtype=float)
-    rhs = (1.0 + rest.reshape(-1, 1)) * v_contact
-    mask3 = None
-    if active is not None:
-        mask3 = _coordinate_mask(active, n, len(contacts))
-    impulse = -_masked_schur_solve(lam, rhs, mask3)
-    qd_plus = qd_minus + (minv @ (jt @ impulse[:, :, None]))[..., 0]
-    _obs.kernel_end(t0, model.name, "impulse.schur", n)
-    return qd_plus
+    rhs = (1.0 + rest.reshape(-1, 1)) * (jac @ qd_minus[:, :, None])[..., 0]
+    _, dqd = _schur_solve(jac, minv, rhs, active, damping)
+    _obs.kernel_end(t0, model.name, "impulse.schur", len(q))
+    return qd_minus + dqd
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +352,8 @@ def _cfd_handler(model, states, u=None, minv=None, f_ext=None, engine=None,
         model, states.q, states.qd, tau, list(contacts), f_ext=f_ext,
         active=active, damping=damping, engine=engine, minv=minv,
     )
-    return [
-        ConstrainedDynamicsResult(
-            qdd=result.qdd[k], contact_forces=result.contact_forces[k]
-        )
-        for k in range(n)
-    ]
+    return [ConstrainedDynamicsResult(qdd=qdd, contact_forces=forces)
+            for qdd, forces in zip(result.qdd, result.contact_forces)]
 
 
 def _impulse_handler(model, states, u=None, minv=None, f_ext=None,

@@ -236,6 +236,19 @@ class TransformGroup:
     qslices: tuple = ()      # per-link q slices ("generic" only)
 
 
+@dataclass(frozen=True)
+class StagedState:
+    """What :meth:`ExecutionPlan.stage` read off one staging, task-major
+    and in link order (None where not staged or not requested)."""
+
+    xw: np.ndarray              # (n, nb, 6, 6) world transforms ^iX_0
+    v: np.ndarray | None        # (n, nb, 6) link velocities
+    avp: np.ndarray | None      # (n, nb, 6) velocity-product accelerations
+                                # at qdd = 0, gravity-free (Jdot qd terms)
+    bias: np.ndarray | None     # (n, nv) C = RNEA(q, qd, 0, f_ext)
+    minv: np.ndarray | None     # (n, nv, nv)
+
+
 def _scratch_view5(buf, n: int, L: int, nb: int, width: int):
     """A contiguous ``(n, L, nb, 6, width)`` block-axis view over a flat
     scratch buffer."""
@@ -782,21 +795,19 @@ class ExecutionPlan:
                     )
         _obs.kernel_end(t0, self.robot_name, "transforms", n)
 
-    def world_transforms_batch(self, q) -> "np.ndarray":
-        """Batched world transforms ``^iX_0`` per link: ``(n, nb, 6, 6)``.
+    def stage(self, q, qd=None, f_ext=None, *,
+              minv: bool = False) -> StagedState:
+        """Stage ``(q, qd)`` once and read off what it determines.
 
-        The level-scheduled front half of forward kinematics: joint
-        transforms refresh in one fused op per joint kind, then each
-        level composes onto its parents' world transforms in one slab op.
-        Output follows the model's *link* order (not slot order) so
-        downstream consumers — the batched contact Jacobians — index it
-        with plain link indices.
+        One transform staging gives the world transforms; with ``qd``,
+        one bias RNEA at ``qdd = 0`` gives ``C`` and, from its forward
+        sweep, the link velocities and accelerations; with ``minv``,
+        MMinvGen runs on the same transforms.  These are the paper's
+        shared pipeline intermediates.  Outputs are fresh arrays.
         """
-        q = self._operand(q)
-        n = q.shape[0]
-        ws = self.workspace(n)
-        self._stage_transforms(ws, n, q)
         xp = self._xp
+        ws, n = self._prep(q, qd, None, "rnea",
+                           *(("mminv", "ia") if minv else ()))
         X = ws.X[:n]
         xw = xp.empty((n, self.nb, 6, 6))
         for lvl in self.levels:
@@ -805,37 +816,18 @@ class ExecutionPlan:
                 xw[:, lo:hi] = X[:, lo:hi]
             else:
                 xw[:, lo:hi] = X[:, lo:hi] @ xw[:, lvl.parent_slots]
-        return xw[:, self.slot_of_link]
-
-    def velocity_kinematics_batch(self, q, qd) -> tuple:
-        """Batched spatial velocities and ``qdd = 0`` accelerations.
-
-        Returns ``(v, a)``, each ``(n, nb, 6)`` in link order and link
-        coordinates; ``a`` is the gravity-free velocity-product
-        acceleration accumulated down the tree — exactly the kinematic
-        state the analytic contact drift term ``Jdot qd`` needs.
-        """
-        q = self._operand(q)
-        qd = self._operand(qd)
-        n = q.shape[0]
-        ws = self.workspace(n, "rnea")
-        self._stage_transforms(ws, n, q)
-        self._stage_rates(ws, n, qd, None)
-        X, v, a, vj = ws.X[:n], ws.v[:n], ws.a[:n], ws.vj[:n]
-        for lvl in self.levels:
-            lo, hi = lvl.lo, lvl.hi
-            if lvl.is_root:
-                v[:, lo:hi] = vj[:, lo:hi]
-                a[:, lo:hi] = cross_motion(v[:, lo:hi], vj[:, lo:hi])
-            else:
-                par = lvl.parent_slots
-                v[:, lo:hi] = _mv(X[:, lo:hi], v[:, par]) + vj[:, lo:hi]
-                a[:, lo:hi] = (
-                    _mv(X[:, lo:hi], a[:, par])
-                    + cross_motion(v[:, lo:hi], vj[:, lo:hi])
-                )
         order = self.slot_of_link
-        return v[:, order].copy(), a[:, order].copy()
+        bias = v = avp = None
+        if qd is not None:
+            bias = self._rnea(ws, n, f_ext).copy()
+            v = ws.v[:n][:, order]
+            # The forward sweep is linear in the root acceleration, so
+            # removing ``^iX_0 a0`` leaves the gravity-free part.
+            avp = (ws.a[:n] - xw @ self.minus_gravity)[:, order]
+        return StagedState(
+            xw=xw[:, order], v=v, avp=avp, bias=bias,
+            minv=self._mminvgen(ws, n, out_minv=True) if minv else None,
+        )
 
     def _stage_rates(self, ws: PlanWorkspace, n: int, qd, qdd) -> None:
         self._ein("bsv,nv->nbs", self.sel_all, qd, out=ws.vj[:n])
@@ -1713,6 +1705,7 @@ __all__ = [
     "PackedLevel",
     "PlanLevel",
     "PlanWorkspace",
+    "StagedState",
     "TransformGroup",
     "plan_for",
 ]

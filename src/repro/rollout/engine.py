@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from repro.backend import get_backend, host_backend, to_host
 from repro.dynamics.contact import ContactPoint
 from repro.dynamics.contact_batch import (
-    batch_constrained_fd,
+    _solve_constrained,
+    _stage,
     batch_contact_positions,
 )
 from repro.dynamics.engine import Engine, get_engine, normalize_f_ext
@@ -155,7 +156,7 @@ class RolloutPlan:
         self.backend_name = backend_name
         self.robot_name = model.name
         self.nv = model.nv
-        #: Host execution plan driving the batched contact kinematics.
+        #: Host execution plan each contact evaluation stages on once.
         self.xplan = plan_for(model)
         self._tls = threading.local()
 
@@ -170,19 +171,26 @@ class RolloutPlan:
     # Stepping primitives
     # ------------------------------------------------------------------
 
-    def _fd(self, model, q, qd, tau, f_ext, contacts, active):
-        """One batched (constrained) FD evaluation: (qdd, forces)."""
+    def _fd(self, model, q, qd, tau, f_ext, contacts, active, staged=None):
+        """One batched (constrained) FD evaluation: (qdd, forces).
+
+        A contact evaluation stages ``(q, qd)`` once; ``staged`` passes
+        in the staging the step's contact mask already read.
+        """
         if contacts:
-            res = batch_constrained_fd(
-                model, q, qd, tau, contacts, f_ext=f_ext, active=active,
-                engine=self.engine, plan=self.xplan,
-            )
+            if staged is None:
+                staged = _stage(model, self.engine, self.xplan, q, qd, tau,
+                                f_ext)
+            res = _solve_constrained(model, *staged, contacts, active)
             return res.qdd, res.contact_forces
         return to_host(self.engine.fd_batch(model, q, qd, tau, f_ext)), None
 
     def _resolve_mask(self, model, contact_mask, contacts, t, t_steps,
-                      q, qd, ground_height: float):
+                      q, qd, ground_height: float, xw):
         """The ``(n, c)`` active mask for step ``t`` (None = all active).
+
+        ``"ground"`` reads the contact heights off ``xw``, the world
+        transforms of the step's staging at ``q``.
 
         Array masks accept shapes ``(c,)`` (static), ``(T, c)`` (shared
         schedule), ``(n, c)`` (static per task) and ``(n, T, c)``; when
@@ -199,7 +207,7 @@ class RolloutPlan:
                     "mode is 'ground'"
                 )
             heights = batch_contact_positions(
-                model, q, contacts, self.xplan
+                model, q, contacts, self.xplan, xw=xw
             )[:, :, 2]
             return heights <= ground_height
         if callable(contact_mask):
@@ -328,11 +336,13 @@ class RolloutPlan:
             tau = policy(t, q, qd) if policy is not None else controls[:, t]
             tau = np.asarray(tau, dtype=float)
             us[:, t] = tau
-            active = None
+            active = staged = None
             if contacts:
+                staged = _stage(model, self.engine, self.xplan, q, qd,
+                                tau, fe)
                 active = self._resolve_mask(
                     model, contact_mask, contacts, t, t_steps, q, qd,
-                    ground_height,
+                    ground_height, xw=staged[0].xw,
                 )
                 active_rec[:, t] = True if active is None else active
             if sensitivities:
@@ -342,7 +352,7 @@ class RolloutPlan:
                 )
             else:
                 q, qd, f_t = self._step(
-                    model, q, qd, tau, fe, dt, contacts, active
+                    model, q, qd, tau, fe, dt, contacts, active, staged
                 )
                 if contacts:
                     forces[:, t] = f_t
@@ -448,12 +458,16 @@ class RolloutPlan:
                 return
             q, qd = result.qs[:, -1], result.qds[:, -1]
 
-    def _step(self, model, q, qd, tau, fe, dt, contacts, active):
-        """One integrator step; returns (q+, qd+, step forces)."""
+    def _step(self, model, q, qd, tau, fe, dt, contacts, active, staged):
+        """One integrator step; returns (q+, qd+, step forces).
+
+        ``staged`` is the contact staging at ``(q, qd)`` the step's mask
+        read; it serves the (first) FD evaluation.
+        """
         if self.scheme == "rk4":
             return self._rk4_step(model, q, qd, tau, fe, dt, contacts,
-                                  active)
-        qdd, f_t = self._fd(model, q, qd, tau, fe, contacts, active)
+                                  active, staged)
+        qdd, f_t = self._fd(model, q, qd, tau, fe, contacts, active, staged)
         if self.scheme == "euler":
             q_new = model.batch_integrate(q, dt * qd)
             qd_new = qd + dt * qdd
@@ -462,9 +476,11 @@ class RolloutPlan:
             q_new = model.batch_integrate(q, dt * qd_new)
         return q_new, qd_new, f_t
 
-    def _rk4_step(self, model, q, qd, tau, fe, dt, contacts, active):
+    def _rk4_step(self, model, q, qd, tau, fe, dt, contacts, active,
+                  staged):
         """Classic RK4 (contact mode frozen over the four stages)."""
-        k1_dqd, f_t = self._fd(model, q, qd, tau, fe, contacts, active)
+        k1_dqd, f_t = self._fd(model, q, qd, tau, fe, contacts, active,
+                               staged)
         k1_dq = qd
         q2 = model.batch_integrate(q, 0.5 * dt * k1_dq)
         qd2 = qd + 0.5 * dt * k1_dqd

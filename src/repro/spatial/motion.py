@@ -38,15 +38,38 @@ def crf(v):
     return -xp.swapaxes(crm(v), -1, -2)
 
 
+def cross3(a, b, out=None):
+    """``a x b`` for 3-vectors on the last axis, by components.
+
+    Evaluates ``a1*b2 - a2*b1`` and its two cyclic shifts — the products
+    and differences ``numpy.cross`` forms, so results are bitwise equal —
+    without ``numpy.cross``'s axis normalisation and ``moveaxis`` calls,
+    which dominate its cost on the small slabs of the level sweeps.
+    ``out`` (default: a new array of the broadcast shape) must not alias
+    ``a`` or ``b``.
+    """
+    xp = array_namespace(a, b)
+    if out is None:
+        out = xp.empty(xp.broadcast_shapes(a.shape, b.shape))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def cross_motion(a, b):
     """``a x b`` for motion vectors, without building the 6x6 operator."""
     xp = array_namespace(a, b)
     a = xp.asarray(a, dtype=float)
     b = xp.asarray(b, dtype=float)
     w, v = a[..., :3], a[..., 3:]
-    top = xp.cross(w, b[..., :3])
-    bottom = xp.cross(v, b[..., :3]) + xp.cross(w, b[..., 3:])
-    return xp.concatenate([top, bottom], axis=-1)
+    out = xp.empty(xp.broadcast_shapes(a.shape, b.shape))
+    cross3(w, b[..., :3], out[..., :3])
+    cross3(v, b[..., :3], out[..., 3:])
+    out[..., 3:] += cross3(w, b[..., 3:])
+    return out
 
 
 def cross_force(a, f):
@@ -55,9 +78,11 @@ def cross_force(a, f):
     a = xp.asarray(a, dtype=float)
     f = xp.asarray(f, dtype=float)
     w, v = a[..., :3], a[..., 3:]
-    top = xp.cross(w, f[..., :3]) + xp.cross(v, f[..., 3:])
-    bottom = xp.cross(w, f[..., 3:])
-    return xp.concatenate([top, bottom], axis=-1)
+    out = xp.empty(xp.broadcast_shapes(a.shape, f.shape))
+    cross3(w, f[..., :3], out[..., :3])
+    out[..., :3] += cross3(v, f[..., 3:])
+    cross3(w, f[..., 3:], out[..., 3:])
+    return out
 
 
 def crf_bar(f):

@@ -5,6 +5,7 @@ contact-mode solves and the dispatch registration."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.dynamics.batch import BatchStates, batch_evaluate, batch_fd
 from repro.dynamics.contact import (
     ContactPoint,
@@ -23,8 +24,11 @@ from repro.dynamics.contact_batch import (
     batch_jacobian_dot_qd,
     contact_signature,
 )
+from repro.dynamics.engine import available_engines
+from repro.dynamics.jit import JitEngine
 from repro.dynamics.kinematics import forward_kinematics
 from repro.model.library import ROBOT_REGISTRY, load_robot
+from repro.rollout import RolloutEngine
 
 #: Contact-force solves are compared at 1e-10 *scaled by the reference
 #: magnitude*: on robots with fewer than 3 DOF a 3-axis point constraint
@@ -118,18 +122,71 @@ class TestEquivalence:
         _check_rows(model, contacts, qs, qds, taus, cfd, qd_plus, f_ext,
                     [0, 97, 255], 0.3)
 
-    @pytest.mark.parametrize("engine", ["loop", "compiled"])
-    def test_engines_agree(self, engine):
+    @pytest.mark.parametrize("robot", sorted(ROBOT_REGISTRY))
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_engines_agree(self, engine, robot):
+        """Every engine's cFD matches ``loop``'s at the 1e-10 contract,
+        with f_ext and a mixed per-task contact mask: the staged branch
+        (``compiled``: Minv and ``Minv (tau - C)`` from the plan's own
+        staging) and the branch where the engine supplies them."""
+        model = load_robot(robot)
+        contacts = _contacts(model)
+        c = len(contacts)
+        qs, qds, taus = _states(model, 8, seed=2)
+        rng = np.random.default_rng(21)
+        f_ext = {contacts[0].link: rng.normal(size=(8, 6))}
+        active = np.arange(8 * c).reshape(8, c) % 3 != 0
+        ref = batch_constrained_fd(model, qs, qds, taus, contacts,
+                                   f_ext=f_ext, active=active,
+                                   engine="loop")
+        # jit runs its functional kernels interpreted where jax is absent.
+        eng = JitEngine(backend="numpy") if engine == "jit" else engine
+        out = batch_constrained_fd(model, qs, qds, taus, contacts,
+                                   f_ext=f_ext, active=active, engine=eng)
+        # Infeasible point constraints (fewer DOFs than rows) scale every
+        # derived quantity by the O(1/damping) forces; see _check_rows.
+        scale = (float(np.max(np.abs(ref.contact_forces)))
+                 if 3 * c > model.nv else 1.0)
+        _assert_close(out.qdd, ref.qdd, f"{engine} qdd", scale)
+        _assert_close(out.contact_forces, ref.contact_forces,
+                      f"{engine} forces", scale)
+
+
+class TestStageOnce:
+    """One call stages the joint transforms from ``q`` exactly once."""
+
+    @staticmethod
+    def _transforms_calls(model, fn) -> int:
+        with obs.profiled() as prof:
+            fn()
+        row = prof.breakdown().get((model.name, "transforms"))
+        return 0 if row is None else row["calls"]
+
+    def test_constrained_fd(self):
         model = load_robot("hyq")
         contacts = _contacts(model)
-        qs, qds, taus = _states(model, 8, seed=2)
-        ref = batch_constrained_fd(model, qs, qds, taus, contacts,
-                                   engine="loop")
-        out = batch_constrained_fd(model, qs, qds, taus, contacts,
-                                   engine=engine)
-        assert np.allclose(out.qdd, ref.qdd, atol=1e-9)
-        assert np.allclose(out.contact_forces, ref.contact_forces,
-                           atol=1e-8)
+        qs, qds, taus = _states(model, 4, seed=13)
+        calls = self._transforms_calls(model, lambda: batch_constrained_fd(
+            model, qs, qds, taus, contacts, engine="compiled"))
+        assert calls == 1
+
+    def test_contact_impulse(self):
+        model = load_robot("hyq")
+        contacts = _contacts(model)
+        qs, qds, _ = _states(model, 4, seed=14)
+        calls = self._transforms_calls(model, lambda: batch_contact_impulse(
+            model, qs, qds, contacts, engine="compiled"))
+        assert calls == 1
+
+    def test_ground_rollout_step(self):
+        model = load_robot("hyq")
+        contacts = _contacts(model)
+        qs, qds, taus = _states(model, 4, seed=15)
+        engine = RolloutEngine("semi_implicit", engine="compiled")
+        calls = self._transforms_calls(model, lambda: engine.rollout(
+            model, qs, qds, taus[:, None], dt=1e-3, contacts=contacts,
+            contact_mask="ground", ground_height=0.0))
+        assert calls == 1
 
 
 class TestContactKinematics:

@@ -1,8 +1,16 @@
 """Unit tests for spatial cross-product operators."""
 
 import numpy as np
+import pytest
 
-from repro.spatial.motion import crf, crf_bar, crm, cross_force, cross_motion
+from repro.spatial.motion import (
+    crf,
+    crf_bar,
+    crm,
+    cross3,
+    cross_force,
+    cross_motion,
+)
 from repro.spatial.random import random_rotation
 from repro.spatial.transforms import spatial_transform
 
@@ -73,3 +81,55 @@ class TestTransformCompatibility:
         assert np.allclose(
             x @ crm(s) @ inverse_transform(x), crm(x @ s), atol=1e-10
         )
+
+
+def _np_cross_motion(a, b):
+    """``cross_motion`` written with ``numpy.cross`` (the formulation the
+    component arithmetic replaces)."""
+    w, v = a[..., :3], a[..., 3:]
+    top = np.cross(w, b[..., :3])
+    bottom = np.cross(v, b[..., :3]) + np.cross(w, b[..., 3:])
+    return np.concatenate([top, bottom], axis=-1)
+
+
+def _np_cross_force(a, f):
+    w, v = a[..., :3], a[..., 3:]
+    top = np.cross(w, f[..., :3]) + np.cross(v, f[..., 3:])
+    bottom = np.cross(w, f[..., 3:])
+    return np.concatenate([top, bottom], axis=-1)
+
+
+class TestComponentCross:
+    """The component cross products are bitwise ``numpy.cross``."""
+
+    @staticmethod
+    def _operands(rng, kind):
+        if kind == "single":
+            return rng.normal(size=6), rng.normal(size=6)
+        if kind == "batch":
+            return rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        if kind == "broadcast":
+            return rng.normal(size=(4, 3, 6)), rng.normal(size=(3, 6))
+        # Strided slab views, as the level sweeps pass them.
+        v = rng.normal(size=(4, 7, 6))
+        vj = rng.normal(size=(4, 7, 6))
+        return v[:, 2:5], vj[:, 2:5]
+
+    @pytest.mark.parametrize("kind",
+                             ["single", "batch", "broadcast", "slab"])
+    def test_bitwise_numpy_cross(self, rng, kind):
+        a, b = self._operands(rng, kind)
+        for ours, ref in ((cross_motion, _np_cross_motion),
+                          (cross_force, _np_cross_force)):
+            out = ours(a, b)
+            assert np.array_equal(out, ref(a, b))
+            assert not np.shares_memory(out, a)
+            assert not np.shares_memory(out, b)
+        assert np.array_equal(cross_motion(b, a), _np_cross_motion(b, a))
+
+    def test_cross3_bitwise_and_fresh(self, rng):
+        cols = np.swapaxes(rng.normal(size=(4, 3, 9)), -1, -2)  # strided
+        p = rng.normal(size=3)
+        out = cross3(cols, p)
+        assert np.array_equal(out, np.cross(cols, p))
+        assert not np.shares_memory(out, cols)
