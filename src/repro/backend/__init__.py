@@ -4,15 +4,17 @@ Dadu-RBD's datapath is structure-specialized but *operand-agnostic*: the
 same pipelines serve every Table-I function because the schedule, not the
 ALUs, encodes the robot.  The host-side analogue is that our kernels —
 the spatial algebra, the compiled execution plans and their functional
-mirrors — are written against a ~20-op array vocabulary (einsum with
-precomputed paths, matmul, solve/cholesky, scatter/gather by flat index,
-stack/where) that NumPy, CuPy and JAX all speak.  This package is the
-shim those layers import instead of numpy:
+mirrors — call the numpy-compatible namespace NumPy, CuPy and JAX all
+provide (``backend.xp``) directly.  The shim wraps only what really
+differs per runtime:
 
 * :class:`ArrayBackend` — one array runtime: its namespace (``.xp``),
-  the op vocabulary as methods, and :class:`BackendCapabilities` flags
-  the engines consult (in-place workspace mutation, device, einsum-path
-  caching).
+  :class:`BackendCapabilities` flags the engines consult (in-place
+  workspace mutation, device, einsum-path caching, trace compilation),
+  and four ops — ``einsum`` (with a memoized contraction path where the
+  runtime benefits), ``jit`` and ``scan`` (real trace compilation on
+  JAX, identity / python-loop fallbacks elsewhere) and ``to_numpy``
+  (the host boundary).
 * :func:`get_backend` — registry lookup (``"numpy" | "cupy" | "jax"``)
   with graceful *not-installed* probing: an unavailable backend raises
   :class:`BackendUnavailable` naming the missing module, never an
@@ -93,13 +95,14 @@ class BackendCapabilities:
 
 
 class ArrayBackend:
-    """One array runtime behind the kernel vocabulary.
+    """One array runtime: namespace, capabilities and the ops that differ.
 
-    The base class implements every op against ``self.xp`` (the
-    numpy-compatible namespace); concrete backends override only what
-    their runtime spells differently.  All ops take/return the backend's
-    native arrays; :meth:`to_numpy` / :meth:`from_numpy` cross the host
-    boundary explicitly.
+    Kernels build and transform arrays through ``self.xp`` (the
+    numpy-compatible namespace) directly.  The methods here are the four
+    ops whose behaviour depends on the runtime: :meth:`einsum`,
+    :meth:`jit`, :meth:`scan` and :meth:`to_numpy`.  The base class
+    implements them against ``self.xp``; concrete backends override only
+    what their runtime does differently.
     """
 
     name: str = "abstract"
@@ -112,80 +115,6 @@ class ArrayBackend:
         #: (one pairwise contraction), so the expression alone keys them.
         self._einsum_paths: dict = {}
         self._einsum_lock = threading.Lock()
-
-    # -- construction ---------------------------------------------------
-    def asarray(self, a, dtype=None):
-        return self.xp.asarray(a, dtype=dtype)
-
-    def zeros(self, shape, dtype=float):
-        return self.xp.zeros(shape, dtype=dtype)
-
-    def empty(self, shape, dtype=float):
-        return self.xp.empty(shape, dtype=dtype)
-
-    def eye(self, n, dtype=float):
-        return self.xp.eye(n, dtype=dtype)
-
-    def arange(self, *args, dtype=None):
-        return self.xp.arange(*args, dtype=dtype)
-
-    # -- restructuring --------------------------------------------------
-    def stack(self, arrays, axis=0):
-        return self.xp.stack(arrays, axis=axis)
-
-    def concatenate(self, arrays, axis=0):
-        return self.xp.concatenate(arrays, axis=axis)
-
-    def broadcast_to(self, a, shape):
-        return self.xp.broadcast_to(a, shape)
-
-    def swapaxes(self, a, axis1, axis2):
-        return self.xp.swapaxes(a, axis1, axis2)
-
-    def moveaxis(self, a, source, destination):
-        return self.xp.moveaxis(a, source, destination)
-
-    def atleast_2d(self, a):
-        return self.xp.atleast_2d(a)
-
-    def where(self, cond, a, b):
-        return self.xp.where(cond, a, b)
-
-    # -- gather / scatter by flat index ---------------------------------
-    def take(self, a, indices, axis=0):
-        """Gather rows/slabs by an integer index array."""
-        return self.xp.take(a, indices, axis=axis)
-
-    def index_add(self, a, indices, values, axis=0):
-        """Scatter-accumulate ``values`` into ``a`` at ``indices`` along
-        ``axis`` (duplicate indices sum).  Mutates and returns ``a`` on
-        in-place backends."""
-        if axis == 0:
-            self.xp.add.at(a, indices, values)
-        else:
-            sl = [slice(None)] * a.ndim
-            sl[axis] = indices
-            self.xp.add.at(a, tuple(sl), values)
-        return a
-
-    # -- functional (out-of-place) scatter ------------------------------
-    # ``idx`` is a tuple mixing slices and integer index arrays, exactly
-    # the subscripts numpy fancy indexing accepts.  The input is never
-    # mutated: the host fallback copies, JAX lowers to ``.at[idx]`` so a
-    # jitted program sees a pure scatter op (XLA elides the copy).
-
-    def at_set(self, a, idx, values):
-        """Return ``a`` with ``a[idx] = values`` applied out-of-place."""
-        out = a.copy()
-        out[idx] = values
-        return out
-
-    def at_add(self, a, idx, values):
-        """Return ``a`` with ``a[idx] += values`` applied out-of-place;
-        duplicate indices accumulate (``np.add.at`` semantics)."""
-        out = a.copy()
-        self.xp.add.at(out, idx, values)
-        return out
 
     # -- trace compilation ----------------------------------------------
     def jit(self, fn, static_argnums=()):
@@ -211,18 +140,14 @@ class ArrayBackend:
             return carry, None
         if isinstance(ys[0], tuple):
             stacked = tuple(
-                self.stack([y[k] for y in ys]) for k in range(len(ys[0]))
+                self.xp.stack([y[k] for y in ys])
+                for k in range(len(ys[0]))
             )
         else:
-            stacked = self.stack(ys)
+            stacked = self.xp.stack(ys)
         return carry, stacked
 
     # -- contractions ---------------------------------------------------
-    def matmul(self, a, b, out=None):
-        if out is None:
-            return self.xp.matmul(a, b)
-        return self.xp.matmul(a, b, out=out)
-
     def einsum(self, expr: str, *ops, out=None):
         """``einsum`` with a memoized contraction path.
 
@@ -246,31 +171,10 @@ class ArrayBackend:
             return self.xp.einsum(expr, *ops, optimize=path)
         return self.xp.einsum(expr, *ops, out=out, optimize=path)
 
-    # -- linear algebra -------------------------------------------------
-    def solve(self, a, b):
-        return self.xp.linalg.solve(a, b)
-
-    def inv(self, a):
-        return self.xp.linalg.inv(a)
-
-    def cholesky(self, a):
-        return self.xp.linalg.cholesky(a)
-
     # -- host boundary --------------------------------------------------
     def to_numpy(self, a) -> _np.ndarray:
         """Materialize a backend array on the host as ``numpy.ndarray``."""
         return _np.asarray(a)
-
-    def from_numpy(self, a: _np.ndarray):
-        """Place a host array on this backend (no-op for numpy)."""
-        return self.xp.asarray(a)
-
-    def synchronize(self) -> None:
-        """Block until queued device work is done (no-op on the host)."""
-
-    def is_native(self, a) -> bool:
-        """True when ``a`` is this backend's array type."""
-        return isinstance(a, self.xp.ndarray)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -288,9 +192,6 @@ class NumpyBackend(ArrayBackend):
 
     def to_numpy(self, a) -> _np.ndarray:
         return a if isinstance(a, _np.ndarray) else _np.asarray(a)
-
-    def from_numpy(self, a: _np.ndarray):
-        return a
 
 
 def _make_cupy_backend() -> ArrayBackend:
@@ -315,9 +216,6 @@ def _make_cupy_backend() -> ArrayBackend:
         def to_numpy(self, a) -> _np.ndarray:
             return cupy.asnumpy(a)
 
-        def synchronize(self) -> None:
-            cupy.cuda.get_current_stream().synchronize()
-
     return CupyBackend()
 
 
@@ -338,8 +236,8 @@ def _make_jax_backend() -> ArrayBackend:
 
     class JaxBackend(ArrayBackend):
         """JAX arrays: immutable (``capabilities.inplace=False``), so the
-        mutating engines refuse it cleanly; the functional kernels run on
-        it via ``at_set``/``at_add`` and compile via ``jit``/``scan``."""
+        mutating engines refuse it cleanly; the scatter-free functional
+        kernels run on it and compile via ``jit``/``scan``."""
 
         name = "jax"
 
@@ -353,19 +251,6 @@ def _make_jax_backend() -> ArrayBackend:
                 scan=True,
             ))
 
-        def index_add(self, a, indices, values, axis=0):
-            if axis == 0:
-                return a.at[indices].add(values)
-            sl = [slice(None)] * a.ndim
-            sl[axis] = indices
-            return a.at[tuple(sl)].add(values)
-
-        def at_set(self, a, idx, values):
-            return a.at[idx].set(values)
-
-        def at_add(self, a, idx, values):
-            return a.at[idx].add(values)
-
         def jit(self, fn, static_argnums=()):
             return jax.jit(fn, static_argnums=static_argnums)
 
@@ -374,9 +259,6 @@ def _make_jax_backend() -> ArrayBackend:
 
         def to_numpy(self, a) -> _np.ndarray:
             return _np.asarray(a)
-
-        def is_native(self, a) -> bool:
-            return isinstance(a, jnp.ndarray)
 
     return JaxBackend()
 

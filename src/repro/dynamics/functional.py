@@ -9,30 +9,31 @@ the same level-scheduled sweeps as *pure functions*:
 * forward sweeps build each level's slab from the previous level (a
   gather by relative parent position) and concatenate — levels are
   contiguous slot runs, so no scatter is needed going down the tree;
-* backward sweeps accumulate into parents out of place: RNEA and ABA
-  through the backend's :meth:`~repro.backend.ArrayBackend.at_add`
-  scatter (duplicate parent slots sum, mirroring
-  ``_scatter_to_parents``), MMinvGen and the derivative sweep through
-  a parent-level segment sum (:meth:`FunctionalPlan._to_parents`);
+* backward sweeps hand each level's slab to its parent level through
+  one segment sum (:meth:`FunctionalPlan._to_parents`, a matmul with the
+  host plan's ``PackedLevel.incidence``, the same table the in-place
+  sweeps use when siblings share a parent).  It is the one accumulation
+  scheme: RNEA, ABA, MMinvGen and the derivative sweep all use it, and
+  no kernel scatters;
 * DOF-row outputs are assembled in slot order (the order the levels
   produce them) and unpermuted once at the end with a precompiled
   position gather.
 
-A :class:`FunctionalPlan` builds no structure tables.  It borrows all
-of them from the memoized host numpy :class:`ExecutionPlan`: the levels
-and groups, the constant stacks, and the packed column layout with its
-index tables (``packed_levels`` and ``col_pos``).  The two kernel
-families therefore run on one column layout, the paper's incremental
-column vectors (Fig 7b): MMinvGen works at each level's suffix window
-``[wp, nv)`` and the derivative forward sweep at its prefix ``[0, w)``.
-MMinvGen and the derivative backward sweep hand their accumulators from
-one level to the next, so each of their steps writes a stack the size
-of the parent level rather than a whole-robot one.  Structure
-compilation stays a host-side, one-time pass, like the paper's offline
-bitstream build.  Execution runs on any backend: with numpy the kernels
-run interpreted (the correctness reference CI exercises everywhere),
-with jax each Table-I function traces into one fused XLA program via
-:meth:`ArrayBackend.jit`.
+A :class:`FunctionalPlan` builds one table of its own, the slot-order
+gather of its transform slabs.  It borrows every other from the
+memoized host numpy :class:`ExecutionPlan`: the levels and groups, the
+constant stacks, and the packed column layout with its index tables
+(``packed_levels`` and ``col_pos``).  The two kernel families therefore
+run on one column layout, the paper's incremental column vectors (Fig
+7b): MMinvGen works at each level's suffix window ``[wp, nv)`` and the
+derivative forward sweep at its prefix ``[0, w)``.  Every backward
+sweep hands its accumulators from one level to the next, so each step
+writes a stack the size of the parent level rather than a whole-robot
+one.  Structure compilation stays a host-side, one-time pass, like the
+paper's offline bitstream build.  Execution runs on any backend: with
+numpy the kernels run interpreted (the correctness reference CI
+exercises everywhere), with jax each Table-I function traces into one
+fused XLA program via :meth:`ArrayBackend.jit`.
 Equivalence against the ``loop`` engine holds at the suite's 1e-10
 tolerance on every library robot.
 """
@@ -41,6 +42,8 @@ from __future__ import annotations
 
 import threading
 import weakref
+
+import numpy as np
 
 from repro.backend import (
     ArrayBackend,
@@ -209,6 +212,11 @@ class FunctionalPlan:
                         "prismatic and floating joints; "
                         f"{sp.robot_name!r} has {sorted(set(bad))}"
                     )
+        #: Slot -> position in the group-order concatenation that
+        #: :meth:`transforms` builds: one gather puts it in slot order.
+        self.x_pos = np.argsort(np.concatenate(
+            [g.slots for g in self.transform_groups]
+        ))
         #: Trace-cache key: two models with identical compiled structure
         #: *and* constants share compiled callables.
         self.key = (sp.structure_hash(), self.backend.name)
@@ -219,26 +227,25 @@ class FunctionalPlan:
 
     def transforms(self, q):
         """All joint transforms ``^iX_lambda(q)`` as one ``(n, nb, 6, 6)``
-        stack, built group-by-group and scattered once per joint kind."""
-        xp, b = self.xp, self.backend
-        n = q.shape[0]
-        X = xp.zeros((n, self.nb, 6, 6))
+        stack: the per-group slabs are concatenated and put in slot order
+        by one gather."""
+        xp = self.xp
+        slabs = []
         for g in self.transform_groups:
             if g.kind == "revolute":
                 e = fexp_so3(xp, g.axes * q[:, g.qcols][:, :, None])
                 xj = frot(xp, xp.swapaxes(e, -1, -2))
-                X = b.at_set(X, (slice(None), g.slots), xj @ g.x_tree)
+                slabs.append(xj @ g.x_tree)
             elif g.kind == "prismatic":
                 xj = fxlt(xp, g.axes * q[:, g.qcols][:, :, None])
-                X = b.at_set(X, (slice(None), g.slots), xj @ g.x_tree)
+                slabs.append(xj @ g.x_tree)
             else:
-                for pos, slot in enumerate(g.slots):
+                for pos in range(len(g.slots)):
                     qj = q[:, g.qslices[pos]]
                     e = xp.swapaxes(fexp_so3(xp, qj[:, :3]), -1, -2)
                     xj = fspatial_transform(xp, e, qj[:, 3:])
-                    X = b.at_set(X, (slice(None), int(slot)),
-                                 xj @ g.x_tree[pos])
-        return X
+                    slabs.append((xj @ g.x_tree[pos])[:, None])
+        return xp.concatenate(slabs, axis=1)[:, self.x_pos]
 
     def rates(self, qd):
         """Joint-space rates projected to spatial: ``(n, nb, 6)``."""
@@ -251,7 +258,7 @@ class FunctionalPlan:
     def _rnea_core(self, X, vj, aj, fx):
         """Forward + backward RNEA; returns ``(tau, state)`` where state
         carries the intermediates the derivative sweeps reuse."""
-        xp, b = self.xp, self.backend
+        xp = self.xp
         v_sl, xv_sl, xa_sl, a_sl = [], [], [], []
         for lvl, pk in zip(self.levels, self.packed_levels):
             lo, hi = lvl.lo, lvl.hi
@@ -275,16 +282,21 @@ class FunctionalPlan:
         xa = xp.concatenate(xa_sl, axis=1)
         a = xp.concatenate(a_sl, axis=1)
         iv = _mv(self.inertias, v)
-        f = _mv(self.inertias, a) + fcross_force(xp, v, iv)
+        f0 = _mv(self.inertias, a) + fcross_force(xp, v, iv)
         if fx is not None:
-            f = f - fx
-        for lvl in reversed(self.levels):
-            if lvl.is_root:
-                continue
+            f0 = f0 - fx
+        # Backward: each level's accumulated forces, handed to the parent
+        # level as one segment sum.
+        f_sl, f_in = [], 0.0
+        for lvl, pk in zip(reversed(self.levels),
+                           reversed(self.packed_levels)):
             lo, hi = lvl.lo, lvl.hi
-            xt = xp.swapaxes(X[:, lo:hi], -1, -2)
-            f = b.at_add(f, (slice(None), lvl.parent_slots),
-                         _mv(xt, f[:, lo:hi]))
+            f_l = f0[:, lo:hi] + f_in
+            f_sl.append(f_l)
+            if not lvl.is_root:
+                xt = xp.swapaxes(X[:, lo:hi], -1, -2)
+                f_in = self._to_parents(lvl, pk, _mv(xt, f_l))
+        f = xp.concatenate(f_sl[::-1], axis=1)
         tau = self.ein("bsv,nbs->nv", self.sel_all, f)
         return tau, dict(v=v, xv=xv, xa=xa, f=f, vj=vj)
 
@@ -298,7 +310,7 @@ class FunctionalPlan:
     # ------------------------------------------------------------------
 
     def fd(self, q, qd, tau, fx=None):
-        xp, b = self.xp, self.backend
+        xp = self.xp
         n = q.shape[0]
         X = self.transforms(q)
         vj = self.rates(qd)
@@ -317,16 +329,20 @@ class FunctionalPlan:
         p = fcross_force(xp, v, _mv(self.inertias, v))
         if fx is not None:
             p = p - fx
-        IA = xp.zeros((n, self.nb, 6, 6)) + self.inertias
 
-        # Pass 2: articulated inertias and bias forces, backward.
+        # Pass 2: articulated inertias and bias forces, backward; each
+        # level hands its parent level the summed child contributions.
         saved: dict = {}
-        for lvl in reversed(self.levels):
+        ia_in, p_in = xp.zeros((n, self.levels[-1].size, 6, 6)), 0.0
+        for lvl, pk in zip(reversed(self.levels),
+                           reversed(self.packed_levels)):
             lo, hi = lvl.lo, lvl.hi
+            IA_l = self.inertias[lo:hi] + ia_in
+            p_l = p[:, lo:hi] + p_in
             ia_parts, p_parts = [], []
             for gi, g in enumerate(lvl.groups):
-                sl = slice(g.lo, g.hi)
-                IA_g, p_g, c_g = IA[:, sl], p[:, sl], c[:, sl]
+                rl = slice(g.lo - lo, g.hi - lo)
+                IA_g, p_g, c_g = IA_l[:, rl], p_l[:, rl], c[:, g.lo:g.hi]
                 if g.k == 1:
                     u = _mv(IA_g, g.axis)
                     d_inv = 1.0 / xp.einsum("ls,nls->nl", g.axis, u)
@@ -353,14 +369,14 @@ class FunctionalPlan:
                         p_parts.append(p_g + _mv(IA_n, c_g)
                                        + _mv(u, _mv(d_inv, u_tau)))
             if not lvl.is_root:
-                IA_lvl = xp.concatenate(ia_parts, axis=1)
-                p_lvl = xp.concatenate(p_parts, axis=1)
                 xl = X[:, lo:hi]
                 xt = xp.swapaxes(xl, -1, -2)
-                IA = b.at_add(IA, (slice(None), lvl.parent_slots),
-                              (xt @ IA_lvl) @ xl)
-                p = b.at_add(p, (slice(None), lvl.parent_slots),
-                             _mv(xt, p_lvl))
+                ia_in = self._to_parents(
+                    lvl, pk, (xt @ xp.concatenate(ia_parts, axis=1)) @ xl
+                )
+                p_in = self._to_parents(
+                    lvl, pk, _mv(xt, xp.concatenate(p_parts, axis=1))
+                )
 
         # Pass 3: accelerations, forward.
         a_prev = None
@@ -404,17 +420,17 @@ class FunctionalPlan:
         ``[lo, hi)``, zeros elsewhere."""
         return eye[pk.prow[gi], lo:hi].reshape(g.size, g.k, hi - lo)
 
-    def _to_parents(self, lvl, pk, val):
+    @staticmethod
+    def _to_parents(lvl, pk, val):
         """Sum per-link ``val`` slabs of a level into a fresh stack over
         its parent level's links (siblings sharing a parent add up).
 
-        The segment sum is one matmul with the ``(parent, child)``
-        incidence matrix: dense, so it traces without a scatter and runs
-        as BLAS on numpy.
+        The segment sum is one matmul with the plan's ``(parent, child)``
+        incidence matrix (``pk.incidence``): dense, so it traces without
+        a scatter and runs as BLAS on numpy.
         """
-        n, size = val.shape[0], self.levels[lvl.index - 1].size
-        incidence = self.xp.eye(size)[:, pk.prel]
-        return (incidence @ val.reshape(n, lvl.size, -1)).reshape(
+        n, size = val.shape[0], pk.incidence.shape[0]
+        return (pk.incidence @ val.reshape(n, lvl.size, -1)).reshape(
             (n, size) + val.shape[2:]
         )
 
@@ -479,13 +495,16 @@ class FunctionalPlan:
 
         if out_minv:
             rows = self._minv_forward(X, rows, saved)
-        out = xp.zeros((n, nv, nv))
-        for pk, row_g in zip(self.packed_levels, rows):
-            out = self.backend.at_set(
-                out, (slice(None), slice(pk.wp, pk.w), slice(pk.wp, None)),
+        # Level row blocks [wp, w) cover every row once, in order; each
+        # is zero left of its window.
+        out = xp.concatenate([
+            xp.concatenate([
+                xp.zeros((n, pk.w - pk.wp, pk.wp)),
                 xp.concatenate([r.reshape(n, -1, nv - pk.wp)
                                 for r in row_g], axis=1),
-            )
+            ], axis=-1)
+            for pk, row_g in zip(self.packed_levels, rows)
+        ], axis=1)
         ix = self.col_pos
         return _symmetrize_from_rows(out, xp)[:, ix[:, None], ix[None, :]]
 

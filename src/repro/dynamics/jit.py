@@ -208,11 +208,10 @@ class JitEngine(Engine):
         dense = np.zeros((n, plan.nb, 6))
         for link, stack in fe.items():
             dense[:, plan.slot_of_link[link]] = stack
-        return plan.backend.asarray(dense)
+        return plan.xp.asarray(dense)
 
     def _stage(self, plan: FunctionalPlan, *arrays):
-        b = plan.backend
-        return tuple(b.asarray(self._host2d(a)) for a in arrays)
+        return tuple(plan.xp.asarray(self._host2d(a)) for a in arrays)
 
     # ------------------------------------------------------------------
     # Table-I entry points
@@ -278,9 +277,7 @@ class JitEngine(Engine):
         args = [q, qd, qdd]
         if minv is not None:
             variant.append("minv")
-            args.append(plan.backend.asarray(
-                np.asarray(minv, dtype=float)
-            ))
+            args.append(plan.xp.asarray(np.asarray(minv, dtype=float)))
         if fx is not None:
             variant.append("fext")
             args.append(fx)
@@ -323,7 +320,7 @@ class JitEngine(Engine):
         plan = self.plan(model)
         b = plan.backend
         q0, qd0 = self._stage(plan, q0, qd0)
-        us = b.asarray(np.asarray(controls, dtype=float))
+        us = b.xp.asarray(np.asarray(controls, dtype=float))
         us = b.xp.swapaxes(us, 0, 1)       # (T, n, nv) scan-major
         fn = self._fn(plan, "rollout", scheme)
         qs, qds = fn(q0, qd0, us, dt)

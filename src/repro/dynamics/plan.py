@@ -17,9 +17,10 @@ built once per :class:`~repro.model.robot.RobotModel` (from the model plus
   fused ``(n, L_d, ...)`` array op, so Atlas's two arms and two legs cost
   one step per depth instead of one step per link (the SAPS branch arrays,
   fused on the host instead of replicated in silicon);
-* **flattened index arrays** — parent gathers, sibling-sum segments and
-  per-level slot ranges, precomputed so the hot loop never touches a
-  Python-level tree query (the Schedule Module's address streams);
+* **flattened index arrays** — parent gathers, parent-incidence
+  matrices for the child-to-parent sums and per-level slot ranges,
+  precomputed so the hot loop never touches a Python-level tree query
+  (the Schedule Module's address streams);
 * **motion-subspace selector stacks** — per-level ``S`` stacks with the
   one-DOF common case compiled to broadcast multiplies and paired index
   writes instead of matrix products (the paper's ``s_one_hot`` selection
@@ -136,11 +137,6 @@ class PlanLevel:
     is_root: bool
     links: np.ndarray        # (L,) original link indices, slot order
     parent_slots: np.ndarray  # (L,) parent slot per link (-1 at the root)
-    #: Sibling-sum schedule: (parent_slot, positions) per distinct parent,
-    #: where ``positions`` is a slice when the siblings are adjacent in the
-    #: level (the common case) and an index array otherwise.
-    parent_groups: tuple
-    parents_unique: bool     # no two level links share a parent
     groups: tuple[LevelGroup, ...]
     sel: np.ndarray          # (L, 6, nv) expanded subspace selectors
 
@@ -173,29 +169,39 @@ class PackedLevel:
     level's suffix start: the parent prefix nests inside the child's, so
     forward propagation is one matmul at width ``wp`` plus a zero-fill
     of the ``[wp, w)`` gap, and child suffixes nest inside the parent's,
-    so backward accumulation scatters at the tighter window.  ``own_pos`` gives, per :class:`LevelGroup`, each link's own
-    DOF columns in the packed layout — the owned columns the sweeps
-    scatter results back to.
+    so backward accumulation scatters at the tighter window.
+    ``own_pos`` gives, per :class:`LevelGroup`, each link's own DOF
+    columns in the packed layout — the owned columns the sweeps scatter
+    results back to.
+
+    ``incidence`` is the one way children accumulate into parents: the
+    ``(parent level size, L)`` 0/1 matrix with a one at ``[prel[i], i]``,
+    so one matmul sums every link's slab into its parent's row and
+    siblings under a shared parent add up.
 
     Two kernel families read these tables: the in-place sweeps of
-    :class:`ExecutionPlan`, and the out-of-place sweeps of
+    :class:`ExecutionPlan` (``incidence`` wherever ``pslice`` is None),
+    and the out-of-place sweeps of
     :class:`~repro.dynamics.functional.FunctionalPlan` behind the ``jit``
     engine, which use ``w``/``wp`` for their windows, ``prel`` for
-    parent gathers and sums, ``prow`` to place own-column terms, and
-    the plan's ``col_pos`` to unpermute their outputs.
+    parent gathers, ``incidence`` for every parent sum, ``prow`` to
+    place own-column terms, and the plan's ``col_pos`` to unpermute
+    their outputs.
     """
 
     w: int                        # prefix width: DOF count of slots [0, hi)
     wp: int                       # parent prefix width == suffix start
     prel: np.ndarray | None       # (L,) parent positions within the parent
                                   # level (None at the root)
+    incidence: np.ndarray | None  # (parent level size, L) 0/1 parent sum
+                                  # (None at the root)
     own_pos: tuple                # per group: (Lg, k) packed own columns
     sel_packed: np.ndarray | None  # (L, 6, w) selectors, packed columns
     btr_packed: np.ndarray | None  # (L, nv, 6, 6) btr, packed column axis
-    #: Parent slots as one basic slice when they are unique and contiguous
-    #: (the common case), so backward scatters run as slice ``+=`` instead
-    #: of a fancy-index read-modify-write; None falls back to
-    #: ``_scatter_to_parents``.
+    #: Parent slots as one basic slice when they are contiguous (which
+    #: makes them unique; the common case), so backward scatters run as
+    #: slice ``+=``; None means siblings share a parent or the parents
+    #: are out of order, and the sum goes through ``incidence``.
     pslice: slice | None = None
     #: ``prel`` as a basic slice when the parent rows are the contiguous
     #: identity map (no branching between the two levels), so forward
@@ -211,8 +217,8 @@ class PackedLevel:
     pdiag: tuple = ()
     #: Relative slots whose derivative ``DF[..., w:]`` tail must be
     #: zero-filled because no child-level scatter will overwrite it
-    #: (childless slots, or every slot when the child level scatters
-    #: through the fancy-index fallback); None when the tail is empty or
+    #: (childless slots, or every slot when the child level sums
+    #: through ``incidence``); None when the tail is empty or
     #: fully covered by the child's slice-assign scatter.
     dfz: slice | np.ndarray | None = None
 
@@ -290,7 +296,7 @@ class PlanWorkspace:
     def _allocate(self, group: str) -> None:
         for name, shape in self._shapes[group].items():
             setattr(self, name,
-                    self._backend.zeros((self.capacity,) + shape))
+                    self._backend.xp.zeros((self.capacity,) + shape))
 
     def nbytes(self) -> int:
         return sum(
@@ -390,7 +396,7 @@ class ExecutionPlan:
         host boundary mid-recursion.  Host-side bookkeeping used for
         python-int indexing (``slot_of_link``) stays on the host.
         """
-        dev = self.backend.from_numpy
+        dev = self._xp.asarray
         self.inertias = dev(self.inertias)
         self.sel_all = dev(self.sel_all)
         self.minus_gravity = dev(self.minus_gravity)
@@ -437,6 +443,7 @@ class ExecutionPlan:
             _dc_replace(
                 pk,
                 prel=opt(pk.prel),
+                incidence=opt(pk.incidence),
                 own_pos=tuple(dev(p) for p in pk.own_pos),
                 sel_packed=opt(pk.sel_packed),
                 btr_packed=opt(pk.btr_packed),
@@ -462,16 +469,8 @@ class ExecutionPlan:
                 [model.parent(i) for i in links], dtype=np.intp
             )
             is_root = bool(np.all(parents < 0))
-            if is_root:
-                parent_slots = np.full(len(links), -1, dtype=np.intp)
-                parent_groups: tuple = ()
-                parents_unique = True
-            else:
-                parent_slots = slot_of[parents]
-                parent_groups = self._sibling_groups(parent_slots)
-                parents_unique = (
-                    len(np.unique(parent_slots)) == len(parent_slots)
-                )
+            parent_slots = (np.full(len(links), -1, dtype=np.intp)
+                            if is_root else slot_of[parents])
             sel = self.sel_all[lo:hi]
             groups = self._build_groups(model, subspaces, starts, stops,
                                         links, lo)
@@ -483,27 +482,11 @@ class ExecutionPlan:
                 is_root=is_root,
                 links=links,
                 parent_slots=parent_slots,
-                parent_groups=parent_groups,
-                parents_unique=parents_unique,
                 groups=groups,
                 sel=sel,
             ))
             lo = hi
         return tuple(levels)
-
-    @staticmethod
-    def _sibling_groups(parent_slots: np.ndarray) -> tuple:
-        """(parent_slot, positions) pairs; positions as slices when the
-        siblings sit adjacent in the level (the usual case)."""
-        groups = []
-        for parent in np.unique(parent_slots):
-            pos = np.flatnonzero(parent_slots == parent)
-            if len(pos) == pos[-1] - pos[0] + 1:
-                groups.append((int(parent), slice(int(pos[0]),
-                                                  int(pos[-1]) + 1)))
-            else:
-                groups.append((int(parent), pos))
-        return tuple(groups)
 
     def _build_groups(self, model, subspaces, starts, stops, links, lo):
         groups: list[LevelGroup] = []
@@ -626,14 +609,13 @@ class ExecutionPlan:
                 btr_packed = np.zeros((lvl.size, nv, 6, 6))
                 for g, p in zip(lvl.groups, own_pos):
                     btr_packed[g.rel[:, None], p] = crf(g.subspaces_t)
-            prel = pslice = prelslice = None
+            prel = incidence = pslice = prelslice = None
             if not lvl.is_root:
-                prel = (lvl.parent_slots
-                        - self.levels[lvl.index - 1].lo).astype(np.intp)
+                parent = self.levels[lvl.index - 1]
+                prel = (lvl.parent_slots - parent.lo).astype(np.intp)
+                incidence = np.eye(parent.size)[:, prel]
                 ps = lvl.parent_slots
-                if lvl.parents_unique and np.array_equal(
-                    ps, np.arange(ps[0], ps[0] + len(ps))
-                ):
+                if np.array_equal(ps, np.arange(ps[0], ps[0] + len(ps))):
                     pslice = slice(int(ps[0]), int(ps[0]) + len(ps))
                 if np.array_equal(
                     prel, np.arange(prel[0], prel[0] + len(prel))
@@ -641,7 +623,8 @@ class ExecutionPlan:
                     prelslice = slice(int(prel[0]),
                                       int(prel[0]) + len(prel))
             fields.append(dict(
-                w=w, wp=wp, prel=prel, own_pos=own_pos,
+                w=w, wp=wp, prel=prel, incidence=incidence,
+                own_pos=own_pos,
                 sel_packed=sel_packed, btr_packed=btr_packed,
                 pslice=pslice, prelslice=prelslice,
                 prow=tuple(prow), pdiag=tuple(pdiag),
@@ -837,22 +820,23 @@ class ExecutionPlan:
             self._ein("bsv,nv->nbs", self.sel_all, qdd, out=ws.aj[:n])
 
     def _scatter_to_parents(self, dest, lvl: PlanLevel, value) -> None:
-        """Accumulate per-link ``value`` slabs into parent slots.
+        """Accumulate per-link ``value`` slabs of ``lvl`` into its
+        parents' rows of ``dest``.
 
-        Siblings at one level never alias (distinct parents when
-        ``parents_unique``), so the fast path is a paired fancy ``+=``;
-        otherwise each distinct parent receives the sum of its children's
-        contributions (precompiled slice/index per parent).
+        Contiguous parent slots (``pslice``) take a slice ``+=``;
+        otherwise the parent level's rows receive one matmul with the
+        ``(parent, child)`` incidence matrix, so siblings sharing a
+        parent add up — the same segment sum the functional kernels use.
         """
-        if lvl.parents_unique:
-            dest[:, lvl.parent_slots] += value
-        else:
-            for parent, pos in lvl.parent_groups:
-                chunk = value[:, pos]
-                if chunk.shape[1] == 1:
-                    dest[:, parent] += chunk[:, 0]
-                else:
-                    dest[:, parent] += chunk.sum(axis=1)
+        pk = self.packed_levels[lvl.index]
+        if pk.pslice is not None:
+            dest[:, pk.pslice] += value
+            return
+        par = self.levels[lvl.index - 1]
+        n = value.shape[0]
+        dest[:, par.lo:par.hi] += (
+            pk.incidence @ value.reshape(n, lvl.size, -1)
+        ).reshape((n, par.size) + value.shape[2:])
 
     # ------------------------------------------------------------------
     # RNEA (Algorithm 1), level-scheduled
@@ -903,7 +887,7 @@ class ExecutionPlan:
         if f_ext:
             for link, stack in f_ext.items():
                 if self._device:
-                    stack = self.backend.asarray(stack)
+                    stack = xp.asarray(stack)
                 f[:, self.slot_of_link[link]] -= stack
 
         for lvl in reversed(self.levels):
@@ -959,7 +943,7 @@ class ExecutionPlan:
         if f_ext:
             for link, stack in f_ext.items():
                 if self._device:
-                    stack = self.backend.asarray(stack)
+                    stack = xp.asarray(stack)
                 p[:, self.slot_of_link[link]] -= stack
         IA[:] = self.inertias
 
@@ -991,7 +975,7 @@ class ExecutionPlan:
                         )
                 else:
                     u = IA[:, sl] @ g.subspaces              # (n, Lg, 6, k)
-                    d_inv = self.backend.inv(g.subspaces_t @ u)
+                    d_inv = xp.linalg.inv(g.subspaces_t @ u)
                     u_tau = (
                         tau[:, g.dofs]
                         - _mv(g.subspaces_t, p[:, sl])
@@ -1118,7 +1102,7 @@ class ExecutionPlan:
                     d = g.subspaces_t @ u
                     stf = g.subspaces_t @ f_acc[:, sl, :, w0:]
                     if out_minv:
-                        d_inv = self.backend.inv(d)
+                        d_inv = xp.linalg.inv(d)
                         out[:, pr, w0:] = (
                             -(d_inv @ stf)
                         ).reshape(n, len(g.rows), width)
@@ -1144,14 +1128,9 @@ class ExecutionPlan:
             if not lvl.is_root:
                 xl = X[:, lo:hi]
                 xt = xp.swapaxes(xl, -1, -2)
-                vf = xt @ f_acc[:, lo:hi, :, w0:]
-                vi = (xt @ IA[:, lo:hi]) @ xl
-                if pk.pslice is not None:
-                    f_acc[:, pk.pslice, :, w0:] += vf
-                    IA[:, pk.pslice] += vi
-                else:
-                    self._scatter_to_parents(f_acc[:, :, :, w0:], lvl, vf)
-                    self._scatter_to_parents(IA, lvl, vi)
+                self._scatter_to_parents(f_acc[:, :, :, w0:], lvl,
+                                         xt @ f_acc[:, lo:hi, :, w0:])
+                self._scatter_to_parents(IA, lvl, (xt @ IA[:, lo:hi]) @ xl)
 
         if not out_minv:
             sym = _symmetrize_from_rows(out, xp)
@@ -1494,7 +1473,7 @@ class ExecutionPlan:
             slab_pairs = slab.reshape(n, L, 2, 12, w)
             xp.matmul(DOp[:, lo:hi, None], slab_pairs, out=dfv)
             # Zero only the tails no child-level scatter will assign
-            # over (childless slots / fancy-scatter child levels).
+            # over (childless slots / incidence-summed child levels).
             if pk.dfz is not None:
                 if isinstance(pk.dfz, slice):
                     DF[:, lo + pk.dfz.start:lo + pk.dfz.stop,

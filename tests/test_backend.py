@@ -3,7 +3,7 @@
 Two halves:
 
 * unit tests for :mod:`repro.backend` — registry resolution, graceful
-  not-installed probing, namespace dispatch, the op vocabulary; and
+  not-installed probing, namespace dispatch, the four wrapped ops; and
 * the acceptance equivalence sweep — every Table-I function evaluated
   through a compiled plan on each *available* backend (and through the
   ``"process"`` engine) must match the ``"loop"`` reference to 1e-10
@@ -144,39 +144,15 @@ class TestOps:
         np.testing.assert_allclose(out, want, **TOL)
         assert "nij,nj->ni" in backend._einsum_paths
 
-    def test_linalg_and_scatter(self):
-        backend = get_backend("numpy")
-        rng = np.random.default_rng(1)
-        m = rng.normal(size=(4, 4))
-        spd = m @ m.T + 4 * np.eye(4)
-        np.testing.assert_allclose(
-            backend.inv(spd) @ spd, np.eye(4), atol=1e-9
-        )
-        np.testing.assert_allclose(
-            backend.cholesky(spd) @ backend.cholesky(spd).T, spd, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            backend.solve(spd, np.ones(4)), np.linalg.solve(spd, np.ones(4)),
-            **TOL,
-        )
-        acc = backend.zeros((3, 2))
-        backend.index_add(acc, np.array([0, 0, 2]), np.ones((3, 2)))
-        np.testing.assert_allclose(acc, [[2, 2], [0, 0], [1, 1]], **TOL)
-        gathered = backend.take(np.arange(10.0), np.array([3, 1]))
-        np.testing.assert_allclose(gathered, [3.0, 1.0], **TOL)
+    def test_shim_is_the_ops_that_differ(self):
+        """Kernels call ``xp`` directly; the backend object only wraps
+        the four ops whose behaviour depends on the runtime."""
+        from repro.backend import ArrayBackend
 
-    def test_functional_scatter_ops(self):
-        """at_set / at_add are out-of-place; duplicate indices sum."""
-        backend = get_backend("numpy")
-        a = np.zeros((2, 3))
-        out = backend.at_set(a, (slice(None), np.array([0, 2])), 1.0)
-        assert a.sum() == 0.0                  # input untouched
-        np.testing.assert_allclose(out, [[1, 0, 1], [1, 0, 1]], **TOL)
-        out2 = backend.at_add(
-            out, (slice(None), np.array([1, 1])), np.ones((2, 2))
-        )
-        np.testing.assert_allclose(out, [[1, 0, 1], [1, 0, 1]], **TOL)
-        np.testing.assert_allclose(out2[:, 1], [2.0, 2.0], **TOL)
+        public = {name for name in vars(ArrayBackend)
+                  if not name.startswith("_") and callable(
+                      getattr(ArrayBackend, name))}
+        assert public == {"einsum", "jit", "scan", "to_numpy"}
 
     def test_jit_identity_and_scan_fallback(self):
         """numpy's jit is the identity; scan folds with stacked outputs."""

@@ -37,6 +37,7 @@ from repro.dynamics import batch_evaluate
 from repro.dynamics.engine import available_engines, get_engine
 from repro.dynamics.functions import RBDFunction
 from repro.dynamics.jit import FUSED_SCHEMES, JitEngine
+from repro.dynamics.plan import plan_for
 from repro.model.joints import FloatingJoint, RevoluteJoint
 from repro.model.library import load_robot, random_tree
 from repro.model.robot import RobotBuilder
@@ -190,23 +191,43 @@ def test_jit_declines_generic_joints(make, joints):
         JitEngine(backend="numpy").m_batch(model, q)
 
 
+def _level_forces(model, n, rng):
+    """Per-task forces on one link of every non-root level, preferring a
+    link that shares its parent with a sibling, plus one force shared by
+    every task on the root link."""
+    plan = plan_for(model, "numpy")
+    f_ext = {int(plan.levels[0].links[0]): rng.normal(size=6)}
+    for lvl in plan.levels[1:]:
+        parents = list(lvl.parent_slots)
+        shared = [i for i, p in enumerate(parents) if parents.count(p) > 1]
+        f_ext[int(lvl.links[shared[-1] if shared else 0])] = rng.normal(
+            size=(n, 6)
+        )
+    return f_ext
+
+
 @pytest.mark.parametrize(
     "function",
     [RBDFunction.ID, RBDFunction.FD, RBDFunction.DFD, RBDFunction.DID],
     ids=lambda f: f.value,
 )
 def test_jit_f_ext(jit_engine, function):
-    """The dense external-force operand agrees with the loop path."""
-    model = load_robot("hyq")
+    """External forces on every non-root level reach the backward passes
+    (siblings under a shared parent included): jit and compiled agree
+    with the loop path on branched, random and floating-mid trees."""
+    models = [load_robot("hyq"), load_robot("atlas"),
+              random_tree(9, seed=0, floating=True),
+              floating_under_revolute()]
     n = 6
-    states, u, _ = _batch_inputs(model, function, n, seed=11)
-    rng = np.random.default_rng(12)
-    f_ext = {0: rng.normal(size=(n, 6)), model.nb - 1: rng.normal(size=6)}
-    got = batch_evaluate(model, function, states, u, f_ext=f_ext,
-                         engine=jit_engine)
-    want = batch_evaluate(model, function, states, u, f_ext=f_ext,
-                          engine="loop")
-    assert_results_match(function, got, want)
+    for model in models:
+        states, u, _ = _batch_inputs(model, function, n, seed=11)
+        f_ext = _level_forces(model, n, np.random.default_rng(12))
+        want = batch_evaluate(model, function, states, u, f_ext=f_ext,
+                              engine="loop")
+        for engine in (jit_engine, "compiled"):
+            got = batch_evaluate(model, function, states, u, f_ext=f_ext,
+                                 engine=engine)
+            assert_results_match(function, got, want)
 
 
 def test_jit_difd_computes_minv_when_missing(jit_engine):

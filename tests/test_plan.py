@@ -332,6 +332,50 @@ def _assert_scaled_close(got, want, tol=1e-10):
     assert err <= tol * scale, (err, scale)
 
 
+def _incidence_model(name):
+    """Library robots, random trees, rewritten topologies and a floating
+    joint below the root: every parent-sharing pattern the levels see."""
+    if name.startswith("random_tree"):
+        seed = int(name[len("random_tree"):])
+        return random_tree(9, seed=seed, floating=(seed % 2 == 0))
+    if name == "float_mid":
+        from test_jit_engine import floating_under_revolute
+
+        return floating_under_revolute()
+    return _packed_model(name)
+
+
+INCIDENCE_TOPOLOGIES = (ROBOTS + [f"random_tree{s}" for s in range(4)]
+                        + ["rerooted_atlas", "split_hyq", "float_mid"])
+
+
+@pytest.mark.parametrize("name", INCIDENCE_TOPOLOGIES)
+def test_parent_incidence_is_the_parent_sum(name):
+    """``PackedLevel.incidence`` maps each link to its parent, ``pslice``
+    is set exactly when the parent slots are contiguous, and
+    ``_scatter_to_parents`` equals an ``np.add.at`` scatter."""
+    plan = ExecutionPlan(_incidence_model(name))
+    rng = np.random.default_rng(5)
+    for lvl, pk in zip(plan.levels, plan.packed_levels):
+        if lvl.is_root:
+            assert pk.incidence is None
+            continue
+        inc = pk.incidence
+        assert inc.shape == (plan.levels[lvl.index - 1].size, lvl.size)
+        assert set(np.unique(inc)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(inc.sum(axis=0), 1.0)
+        np.testing.assert_array_equal(inc[pk.prel, np.arange(lvl.size)], 1.0)
+        ps = lvl.parent_slots
+        contiguous = np.array_equal(ps, np.arange(ps[0], ps[0] + len(ps)))
+        assert (pk.pslice is not None) == contiguous
+        value = rng.standard_normal((3, lvl.size, 6, 6))
+        dest = rng.standard_normal((3, plan.nb, 6, 6))
+        want = dest.copy()
+        np.add.at(want, (slice(None), ps), value)
+        plan._scatter_to_parents(dest, lvl, value)
+        np.testing.assert_allclose(dest, want, rtol=0, atol=1e-12)
+
+
 class TestPackedIndices:
     """Compile-time invariants of the packed column layout (Fig 7b).
 
