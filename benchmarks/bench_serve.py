@@ -6,8 +6,11 @@ sweeps the dynamic batcher's ``max_batch`` knob under a max-pressure
 open-loop load and records the resulting latency-vs-throughput curve,
 plus the shard-scaling and dispatch-policy effects.
 
-Acceptance anchor: dynamic batching must sustain >= 5x the modeled
-service throughput of batch-size-1 dispatch for the iiwa FD workload.
+The headline is measured: wall-clock requests per second of the largest
+batch setting over batch-size-1 dispatch.  Acceptance anchor: dynamic
+batching must sustain >= 5x the *modeled* (accelerator cycle-accounted)
+service throughput of batch-size-1 dispatch for the iiwa FD workload;
+that figure is reported beside the headline, labelled as modeled.
 
 Runs under pytest (with the usual paper-vs-measured table summary) or
 directly for CI smoke::
@@ -46,11 +49,23 @@ def sweep_batch_sizes(requests: int = REQUESTS,
     return out
 
 
-def batching_speedup(stats: dict[int, dict]) -> float:
-    """Modeled sustained-throughput gain of the largest batch vs batch-1."""
+def batching_speedup(stats: dict[int, dict],
+                     key: str = "modeled_throughput_rps") -> float:
+    """Throughput gain of the largest batch vs batch-1: modeled by
+    default, wall clock with ``key="wall_throughput_rps"``."""
     best = max(k for k in stats if k > 1)
-    return (stats[best]["modeled_throughput_rps"]
-            / stats[1]["modeled_throughput_rps"])
+    base = stats[1][key]
+    return stats[best][key] / base if base > 0 else float("nan")
+
+
+def _headline(stats: dict[int, dict]) -> str:
+    wall = batching_speedup(stats, "wall_throughput_rps")
+    best = max(stats)
+    return (f"wall-clock throughput vs batch-1: {wall:.1f}x "
+            f"({stats[best]['wall_throughput_rps']:.0f} vs "
+            f"{stats[1]['wall_throughput_rps']:.0f} req/s)\n"
+            f"modeled (cycle-accounted) throughput vs batch-1: "
+            f"{batching_speedup(stats):.1f}x (floor {SPEEDUP_FLOOR:.0f}x)")
 
 
 def _curve_table(stats: dict[int, dict]):
@@ -77,10 +92,9 @@ def test_serve_batching_speedup(once):
         speedup = batching_speedup(stats)
         record_table(
             f"== serve dynamic-batching speedup (iiwa FD) ==\n"
-            f"modeled sustained throughput vs batch-1: {speedup:.1f}x "
-            f"(floor {SPEEDUP_FLOOR:.0f}x)"
+            + _headline(stats)
         )
-        # Occupancy must actually rise with the knob, and the headline
+        # Occupancy must actually rise with the knob, and the modeled
         # speedup must clear the acceptance floor.
         occupancies = [s["mean_batch_occupancy"]
                        for _, s in sorted(stats.items())]
@@ -126,8 +140,7 @@ def main(argv: list[str]) -> int:
         [(f"max_batch={k}", s) for k, s in sorted(stats.items())]
     ))
     speedup = batching_speedup(stats)
-    print(f"\ndynamic batching speedup vs batch-1: {speedup:.1f}x "
-          f"(floor {SPEEDUP_FLOOR:.0f}x)")
+    print("\n" + _headline(stats))
     if "--json" in argv:
         from jsonout import write_bench_json
 
@@ -138,7 +151,9 @@ def main(argv: list[str]) -> int:
         ]
         path = write_bench_json(
             "serve", rows,
-            {"batching_speedup": speedup, "floor": SPEEDUP_FLOOR},
+            {"wall_batching_speedup":
+             batching_speedup(stats, "wall_throughput_rps"),
+             "batching_speedup": speedup, "floor": SPEEDUP_FLOOR},
         )
         print(f"wrote {path}")
     if speedup < SPEEDUP_FLOOR:

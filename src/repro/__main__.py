@@ -73,8 +73,9 @@ def cmd_engines(_args: argparse.Namespace) -> int:
     default = default_engine_name()
     notes = {
         "loop": "per-task scalar reference",
-        "compiled": "structure-compiled plans (default); "
-                    "in-place backends",
+        "native": "generated C per robot (default); numpy plans for "
+                  "the rest",
+        "compiled": "structure-compiled plans; in-place backends",
         "process": f"worker-process pool ({cores} core"
                    f"{'s' if cores != 1 else ''} available)",
         "jit": "trace-compiled functional kernels + fused rollout scan",
@@ -91,6 +92,10 @@ def cmd_engines(_args: argparse.Namespace) -> int:
         c = caps[backend]
         if engine == "compiled":
             return "yes" if c.inplace else "no"
+        if engine == "native":
+            # Device shards of a native service run the compiled plans.
+            return "C" if backend == "numpy" else (
+                "compiled" if c.inplace else "no")
         if engine == "jit":
             return "jit+scan" if (c.jit and c.scan) else "interp"
         return "yes" if backend == "numpy" else "no"
@@ -126,7 +131,26 @@ def cmd_engines(_args: argparse.Namespace) -> int:
     print(f"jit compile cache: backend={jit.backend_name} "
           f"entries={stats['entries']} hits={stats['hits']} "
           f"misses={stats['misses']}")
+    _print_native(get_engine("native"))
     return 0
+
+
+def _print_native(engine) -> None:
+    """The native engine's compiler, cache and per-robot kernels."""
+    from repro.dynamics.native import (
+        NativeUnavailable, find_compiler, library_dir)
+
+    try:
+        cache = str(library_dir())
+    except NativeUnavailable as exc:
+        cache = f"none: {exc}"
+    print()
+    print(f"native kernels: compiler={find_compiler() or 'none'} "
+          f"cache={cache}")
+    for name in sorted(ROBOT_REGISTRY):
+        print(f"    {name:16s} {engine.status(load_robot(name))}")
+    print("    (C = generated library; compiled (reason) = numpy plan "
+          "fallback)")
 
 
 def cmd_report(args: argparse.Namespace) -> int:

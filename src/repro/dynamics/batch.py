@@ -3,11 +3,13 @@
 The paper's workloads are *batched*: 256 independent tasks per call
 (Section VI-A), one per MPC sampling point.  This module is the dispatch
 layer over :mod:`repro.dynamics.engine`: callers hand in task-major arrays
-(:class:`BatchStates`) and pick an engine — ``"compiled"`` (the
-default) replays the robot's structure-compiled execution plan
-(:mod:`repro.dynamics.plan`, level-scheduled recursions over
-preallocated workspaces), and ``"loop"`` is the per-task scalar
-reference used for equivalence testing.
+(:class:`BatchStates`) and pick an engine — ``"native"`` (the default)
+runs C generated per robot from its execution plan
+(:mod:`repro.dynamics.native`), ``"compiled"`` replays the
+structure-compiled plan itself (:mod:`repro.dynamics.plan`,
+level-scheduled recursions over preallocated workspaces), and
+``"loop"`` is the per-task scalar reference used for equivalence
+testing.
 
 All seven Table-I functions dispatch through the engine, so a service
 layer (``repro.serve``) can fan independent requests into one engine call

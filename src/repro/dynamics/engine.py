@@ -17,10 +17,14 @@ Interchangeable engines implement the same batched interface:
   scheduled by tree *depth level* rather than by link, so independent
   branches advance in one fused ``(n, L_d, ...)`` op per level, with
   flattened index arrays, precomputed selector stacks and per-thread
-  preallocated workspaces.  The fastest single-process engine and the
-  process-wide default.  Takes an optional *backend*
+  preallocated workspaces.  Takes an optional *backend*
   (:mod:`repro.backend`): ``CompiledEngine(backend="cupy")`` resolves
   device-resident plans.
+* ``NativeEngine`` (``"native"``, :mod:`repro.dynamics.native`) — the
+  process-wide default: C generated per robot from the execution plan
+  and loaded with ctypes runs ID, M, Minv and FD without the GIL; the
+  derivatives, contact staging and robots without a library run the
+  inherited compiled plans.
 * ``ProcessEngine`` (``"process"``, :mod:`repro.dynamics.process`) — a
   persistent worker-process pool that splits each batch across cores and
   runs the compiled engine in every worker: multi-core scale-out for the
@@ -129,6 +133,11 @@ class Engine(ABC):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Batched diFD (``qdd`` and optionally ``Minv`` known):
         ``(qdd, dqdd_dq, dqdd_dqd, minv)``."""
+
+    def prepare(self, model: RobotModel) -> None:
+        """Build what this engine needs for ``model`` ahead of its first
+        batch (the service calls it for ``warm_robots``); a no-op for
+        engines with nothing to build."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -297,6 +306,14 @@ def _make_process_engine() -> Engine:
     return ProcessEngine()
 
 
+def _make_native_engine() -> Engine:
+    # Lazy: repro.dynamics.native subclasses CompiledEngine from here.
+    # Construction builds nothing; libraries resolve per robot.
+    from repro.dynamics.native import NativeEngine
+
+    return NativeEngine()
+
+
 def _make_jit_engine() -> Engine:
     # Lazy for the same reason; constructing the engine never probes a
     # backend — resolution (and any BackendCapabilityError) happens at
@@ -312,6 +329,7 @@ def _make_jit_engine() -> Engine:
 _ENGINE_FACTORIES: dict[str, Callable[[], Engine]] = {
     LoopEngine.name: LoopEngine,
     CompiledEngine.name: CompiledEngine,
+    "native": _make_native_engine,
     "process": _make_process_engine,
     "jit": _make_jit_engine,
 }
@@ -330,10 +348,12 @@ def register_engine(name: str, factory: Callable[[], Engine]) -> None:
         _ENGINES.pop(name, None)
 
 
+#: The built-in default engine.
+_BUILTIN_DEFAULT = "native"
 #: Process-wide default, overridable via the REPRO_ENGINE env var.  A bad
 #: env value is reported lazily (first use) so importing the package never
 #: fails for commands that touch no engine.
-_default_engine_name = os.environ.get("REPRO_ENGINE", CompiledEngine.name)
+_default_engine_name = os.environ.get("REPRO_ENGINE", _BUILTIN_DEFAULT)
 
 
 def available_engines() -> tuple[str, ...]:
@@ -359,13 +379,13 @@ def set_default_engine(name: str | None) -> None:
     ``"compiled"``).
 
     Passing ``None`` restores the REPRO_ENGINE env var (or the built-in
-    ``"compiled"``) — mainly for tests that must not leak a changed
+    ``"native"``) — mainly for tests that must not leak a changed
     default into later tests.
     """
     global _default_engine_name
     if name is None:
         _default_engine_name = os.environ.get(
-            "REPRO_ENGINE", CompiledEngine.name
+            "REPRO_ENGINE", _BUILTIN_DEFAULT
         )
         return
     if name not in _ENGINE_FACTORIES:

@@ -37,13 +37,15 @@ Architecture — the life of a request::
       shard), and the engine/backend serving each batch is recorded in
       metrics and on :class:`ServeResult`.
     * The shard evaluates the batch through an **execution engine**
-      (:mod:`repro.dynamics.engine`): by default the structure-compiled
-      ``"compiled"`` engine, which replays the robot's cached execution
-      plan (:mod:`repro.dynamics.plan`) — level-scheduled recursions over
-      preallocated workspaces (numerically identical to per-request
-      :func:`repro.dynamics.functions.evaluate`; the ``"loop"``
-      reference and the ``"process"`` / ``"jit"`` engines remain
-      selectable).  The batch's modeled makespan
+      (:mod:`repro.dynamics.engine`): by default the ``"native"``
+      engine, which runs C generated per robot from its cached
+      execution plan (:mod:`repro.dynamics.native`) and, for the
+      derivatives and contact staging, the structure-compiled plan
+      itself (:mod:`repro.dynamics.plan`) — level-scheduled recursions
+      over preallocated workspaces.  Both are numerically identical to
+      per-request :func:`repro.dynamics.functions.evaluate`; the
+      ``"compiled"`` and ``"loop"`` engines and the ``"process"`` /
+      ``"jit"`` engines remain selectable.  The batch's modeled makespan
       from :meth:`repro.core.accelerator.DaduRBD.profile_batch` is charged
       to the shard's ledger and the serving engine recorded in metrics.
     * Serial chains (RK4 sensitivity, Fig 13) bypass the batcher via

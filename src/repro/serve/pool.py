@@ -61,8 +61,8 @@ class ShardConfig:
 
     ``engine``
         Engine name this shard evaluates batches with (``"loop"``,
-        ``"compiled"``, ``"process"``, ``"jit"``); ``None`` inherits the
-        service's engine.
+        ``"native"``, ``"compiled"``, ``"process"``, ``"jit"``); ``None``
+        inherits the service's engine.
     ``backend``
         Array backend name for the shard's plans (:mod:`repro.backend`);
         ``None`` inherits the service's backend.  Only the compiled
@@ -93,6 +93,9 @@ class ShardConfig:
 _ENGINE_HINTS = {
     "loop": 1.0,
     "compiled": 12.0,
+    # Generated C for ID/M/Minv/FD (14-53x compiled at n = 1 on
+    # bench_native); the derivatives still run the compiled plans.
+    "native": 40.0,
     # Trace-compiled functional kernels: whole Table-I functions fused
     # by XLA, amortized after the first-call compile.
     "jit": 20.0,

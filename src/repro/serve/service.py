@@ -5,9 +5,10 @@ robot states for any Table-I function and get a future back; internally
 the runtime coalesces same-``(robot, function)`` requests with the
 :class:`~repro.serve.batcher.DynamicBatcher`, executes each coalesced
 batch on a :class:`~repro.serve.pool.ShardPool` shard on the service's
-execution engine (the structure-compiled ``"compiled"`` engine by
-default — level-scheduled kernels over the robot's cached execution
-plan; see :mod:`repro.dynamics.engine` and :mod:`repro.dynamics.plan`),
+execution engine (the ``"native"`` engine by default — C generated per
+robot from its cached execution plan, with the structure-compiled plan
+kernels for what the C does not cover; see :mod:`repro.dynamics.engine`,
+:mod:`repro.dynamics.native` and :mod:`repro.dynamics.plan`),
 charges the batch's modeled cost to the shard via the accelerator's
 cycle simulation, and resolves the per-request futures in submission
 order.  External forces ride along per request (link -> ``(6,)``) and
@@ -33,8 +34,8 @@ request with a ``deadline_s`` is shed — resolved with
 the batcher or while its batch waits for a shard.  A batch whose
 execution fails walks a recovery pipeline: capability/resource errors
 degrade the shard's engine down the chain jit -> process -> compiled
--> loop and re-run; transient errors retry with exponential
-backoff + jitter (:class:`~repro.serve.request.RetryPolicy`),
+-> loop (native -> compiled) and re-run; transient errors retry with
+exponential backoff + jitter (:class:`~repro.serve.request.RetryPolicy`),
 *re-placed* through the pool so they route around the failing shard;
 poison errors bisect the batch (split-and-retry) until the single bad
 request is isolated and failed alone, its future carrying a
@@ -119,6 +120,7 @@ class DynamicsService:
     #: and the batch re-runs.  Unknown (custom) engines degrade to
     #: "compiled"; "loop" is terminal (nothing simpler exists).
     _DEGRADE_NEXT = {
+        "native": "compiled",
         "jit": "process",
         "process": "compiled",
         "compiled": "loop",
@@ -152,7 +154,7 @@ class DynamicsService:
         #: under the batch-execute spans.
         self.tracer = tracer
         #: Execution engine shard workers evaluate batches with: the
-        #: ``engine`` argument, else the process default ("compiled",
+        #: ``engine`` argument, else the process default ("native",
         #: unless REPRO_ENGINE / ``set_default_engine`` changed it).
         self.engine = get_engine(engine)
         #: Default array backend shard plans execute on (validated here
@@ -257,6 +259,13 @@ class DynamicsService:
         )
         if warm_robots:
             self.cache.warm(warm_robots)
+            # Engines build per-robot state (native libraries) now, not
+            # on the first timed request.
+            engines = {id(e): e for e in self._shard_engines}.values()
+            for name in warm_robots:
+                model = self.cache.get(name).model
+                for eng in engines:
+                    eng.prepare(model)
         self._flusher.start()
 
     def _resolve_shard(self, shard_config: ShardConfig) -> tuple[Engine, str]:
@@ -264,8 +273,9 @@ class DynamicsService:
 
         A shard naming a non-default backend gets its own compiled-engine
         instance bound to that backend (the compiled engine is the
-        backend-portable one); host-bound engines (loop, process)
-        always record ``"numpy"``.
+        backend-portable one; ``native`` is numpy-only and hands device
+        shards to it too); host-bound engines (loop, process) always
+        record ``"numpy"``.
         """
         backend = (
             get_backend(shard_config.backend)
@@ -277,7 +287,7 @@ class DynamicsService:
             get_engine(shard_config.engine)
             if shard_config.engine is not None else self.engine
         )
-        if engine.name == "compiled":
+        if engine.name in ("compiled", "native"):
             # Fail at construction, not on the first batch: the compiled
             # engine's plans require in-place arrays (jax is immutable).
             if not backend.capabilities.inplace:

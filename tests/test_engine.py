@@ -159,12 +159,14 @@ class TestEngineEquivalence:
 
 class TestEngineSelection:
     def test_registry_contents(self):
-        assert available_engines() == ("compiled", "jit", "loop", "process")
+        assert available_engines() == ("compiled", "jit", "loop", "native",
+                                       "process")
         assert isinstance(get_engine("loop"), LoopEngine)
         assert isinstance(get_engine("compiled"), CompiledEngine)
 
-    def test_default_is_compiled(self):
-        assert default_engine_name() == "compiled"
+    def test_default_is_native(self):
+        # The native engine subclasses CompiledEngine.
+        assert default_engine_name() == "native"
         assert isinstance(get_engine(), CompiledEngine)
         assert isinstance(get_engine(None), CompiledEngine)
 
@@ -182,7 +184,7 @@ class TestEngineSelection:
             # Reset so later tests (e.g. the serve default) see the
             # unmodified process default again.
             set_default_engine(None)
-        assert default_engine_name() == "compiled"
+        assert default_engine_name() == "native"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(KeyError, match="unknown engine"):

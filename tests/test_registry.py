@@ -87,7 +87,7 @@ class TestEnvPrecedence:
         finally:
             monkeypatch.delenv("REPRO_ENGINE")
             set_default_engine(None)
-        assert default_engine_name() == "compiled"
+        assert default_engine_name() == "native"
 
     def test_set_default_overrides_env_and_none_restores_it(
         self, monkeypatch

@@ -444,20 +444,20 @@ class TestUrgentBypass:
 
 
 class TestEngineRouting:
-    def test_default_engine_is_compiled_and_recorded(self):
+    def test_default_engine_is_native_and_recorded(self):
         with DynamicsService(
             BatchPolicy(max_batch=4, max_wait_s=1e-3), n_shards=1
         ) as svc:
-            assert svc.engine.name == "compiled"
+            assert svc.engine.name == "native"
             model = load_robot("pendulum")
             result = svc.submit(
                 "pendulum", RBDFunction.M, model.neutral_q()
             ).result(timeout=5.0)
-            assert result.engine == "compiled"
+            assert result.engine == "native"
             stats = svc.stats()
-            assert stats["engine"] == "compiled"
-            assert stats["engine_batches"].get("compiled", 0) >= 1
-            assert stats["engine_requests"].get("compiled", 0) >= 1
+            assert stats["engine"] == "native"
+            assert stats["engine_batches"].get("native", 0) >= 1
+            assert stats["engine_requests"].get("native", 0) >= 1
 
     def test_pinned_process_default_is_honoured(self):
         """set_default_engine beats the service's compiled fallback."""
