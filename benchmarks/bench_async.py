@@ -13,7 +13,9 @@ Four sections, each pinned to an acceptance criterion:
   priority p95 degrades <= 20% (+1 ms jitter epsilon for 1-core CI).
 * **autoscale** — a bursty load against a 1-shard pool with the
   autoscaler armed must grow the pool during the burst AND shrink it
-  after, with zero failed requests across the scaling events.
+  after, with zero failed requests across the scaling events.  The
+  burst is sized from the pool's measured capacity (2x over one
+  decision interval), like the isolation section's overload.
 * **availability** — the fleet simulation: ~1k concurrent coroutine
   clients (Poisson telemetry + closed-loop MPC streams) with 5% of
   shard executions faulting; availability must stay >= 99%.
@@ -24,6 +26,7 @@ Runs under pytest (table summary) or directly for CI smoke::
 """
 
 import asyncio
+import math
 import statistics
 import sys
 import time
@@ -47,6 +50,9 @@ STREAM_SPEEDUP_FLOOR = 2.0
 ISOLATION_FACTOR = 1.2
 ISOLATION_EPSILON_S = 3e-3
 ISOLATION_HORIZON = 32
+#: The decision interval ``run_async_load`` arms its autoscaler with:
+#: the autoscale burst offers its overload within one interval.
+AUTOSCALE_TICK_S = 0.05
 #: Availability acceptance at the anchor fault rate.
 FAULT_RATE = 0.05
 AVAILABILITY_FLOOR = 0.99
@@ -266,22 +272,50 @@ def run_isolation_bench(n_priority: int = 160, n_aggressors: int = 2,
 # Sections 3 + 4: autoscaling burst, fleet availability
 # ----------------------------------------------------------------------
 
-def run_autoscale_bench(quick: bool = False) -> dict:
-    """Bursty load against a 1-shard pool; must grow AND shrink."""
-    report = run_async_load(
+def run_autoscale_bench(quick: bool = False,
+                        overload_factor: float = 2.0) -> dict:
+    """Bursty load against a 1-shard pool; must grow AND shrink.
+
+    The burst is sized from the pool's measured capacity, the one the
+    autoscaler divides by: a calibration pass of the same client mix
+    (no autoscaler) fills the shard's throughput EWMA, in rows/s.  The
+    closed-loop MPC clients then open with rollouts long enough that
+    their first submissions alone offer ``overload_factor`` times that
+    capacity over one autoscaler decision interval (a rollout costs its
+    horizon).  A fixed rate cannot do this across engines: on native
+    shards the pool's capacity is tens of thousands of rows/s, far above
+    what a fixed 40 req/s Poisson mix offers.
+    """
+    mix = dict(
         n_clients=40 if quick else 80,
         mpc_fraction=0.25,
         requests_per_client=4 if quick else 8,
         plans_per_client=2,
-        horizon=16, window=4,
+        window=4,
         rate_rps=40.0,
         fault_rate=0.0,
-        n_shards=1, autoscale=True, min_shards=1, max_shards=4,
         seed=SEED,
     )
+    svc = DynamicsService(policy=BatchPolicy(max_pending=100_000),
+                          n_shards=1, warm_robots=[ROBOT])
+    try:
+        run_async_load(horizon=16, service=svc, **mix)
+        capacity = sum(svc.metrics.measured_shard_rps().values())
+        n_mpc = round(mix["n_clients"] * mix["mpc_fraction"])
+        window = mix["window"]
+        horizon = max(16, window * math.ceil(
+            overload_factor * capacity * AUTOSCALE_TICK_S / n_mpc / window))
+        report = run_async_load(
+            horizon=horizon, service=svc, autoscale=True, min_shards=1,
+            max_shards=4, **mix)
+    finally:
+        svc.close()
     failed = report["poisson"]["failed"] + report["mpc"]["failed"]
     return {
         "clients": report["n_clients"],
+        "capacity_rows_per_s": capacity,
+        "overload_factor": overload_factor,
+        "horizon": horizon,
         "scale_ups": report["scale_ups"],
         "scale_downs": report["scale_downs"],
         "failed": failed,
@@ -427,7 +461,9 @@ def main(argv: list[str]) -> int:
           f"-> {i['degradation']:.2f}x")
     a = rows["autoscale"]
     print(f"  autoscale:    +{a['scale_ups']}/-{a['scale_downs']} shards, "
-          f"{a['failed']} failed, availability {a['availability']:.4f}")
+          f"{a['failed']} failed, availability {a['availability']:.4f} "
+          f"(burst T={a['horizon']} rollouts against "
+          f"{a['capacity_rows_per_s']:.0f} rows/s measured capacity)")
     v = rows["availability"]
     print(f"  availability: {v['availability']:.4f} with {v['clients']} "
           f"clients at {v['fault_rate']:.0%} faults "

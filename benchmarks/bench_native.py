@@ -1,16 +1,17 @@
-"""Native (generated C) vs compiled (numpy plans) on the C-covered kernels.
+"""Native (generated C) vs compiled (numpy plans) on all seven functions.
 
-The ``native`` engine runs ID, M, Minv and FD in C generated per robot
-from its execution plan; ``compiled`` runs the same plan as level-
-scheduled numpy sweeps.  This bench times both on a serial arm (iiwa),
-a branched quadruped (hyq) and a humanoid (atlas) at batch 1 (the
-latency regime, where numpy dispatch dominates) and batch 256 (where
-numpy amortizes it).  Each case alternates the two engines and keeps
-each one's best time, so a slow stretch of the host hits both.
+The ``native`` engine runs ID, M, Minv, FD and the derivatives dID, dFD
+and diFD (given Minv) in C generated per robot from its execution plan;
+``compiled`` runs the same plan as level-scheduled numpy sweeps.  This
+bench times both on a serial arm (iiwa), a branched quadruped (hyq) and
+a humanoid (atlas) at batch 1 (the latency regime, where numpy dispatch
+dominates) and batch 256 (where numpy amortizes it).  Each case
+alternates the two engines and keeps each one's best time, so a slow
+stretch of the host hits both.
 
-Floors: native >= 10x compiled on FD and Minv at batch 1 (target 20x),
-and >= 1x on every function at batch 256.  Without a C compiler the
-bench prints ``SKIP`` and exits 0.
+Floors: native >= 10x compiled on FD, Minv and dFD at batch 1 (target
+20x), and >= 1x on every function at batch 256.  Without a C compiler
+the bench prints ``SKIP`` and exits 0.
 
 Runs under pytest (summary table) or directly for CI smoke::
 
@@ -28,24 +29,27 @@ from repro.dynamics.functions import RBDFunction
 from repro.model.library import load_robot
 
 ROBOTS = ("iiwa", "hyq", "atlas")
-FUNCTIONS = (RBDFunction.ID, RBDFunction.M, RBDFunction.MINV,
-             RBDFunction.FD)
+FUNCTIONS = tuple(RBDFunction)
 BATCHES = (1, 256)
-#: Batch-1 floor applies to these functions (the mpc_latency grid's C ops).
-LATENCY_FUNCTIONS = (RBDFunction.FD, RBDFunction.MINV)
+#: Batch-1 floor applies to these functions (the mpc_latency grid's ops).
+LATENCY_FUNCTIONS = (RBDFunction.FD, RBDFunction.MINV, RBDFunction.DFD)
 LATENCY_FLOOR = 10.0
 LATENCY_TARGET = 20.0
 BATCH_FLOOR = 1.0
 
 
-def _call(engine, model, function, st, u):
-    if function == RBDFunction.ID:
-        return lambda: engine.id_batch(model, st.q, st.qd, u)
-    if function == RBDFunction.M:
-        return lambda: engine.m_batch(model, st.q)
-    if function == RBDFunction.MINV:
-        return lambda: engine.minv_batch(model, st.q)
-    return lambda: engine.fd_batch(model, st.q, st.qd, u)
+def _call(engine, model, function, st, u, minv):
+    calls = {
+        RBDFunction.ID: lambda: engine.id_batch(model, st.q, st.qd, u),
+        RBDFunction.M: lambda: engine.m_batch(model, st.q),
+        RBDFunction.MINV: lambda: engine.minv_batch(model, st.q),
+        RBDFunction.FD: lambda: engine.fd_batch(model, st.q, st.qd, u),
+        RBDFunction.DID: lambda: engine.did_batch(model, st.q, st.qd, u),
+        RBDFunction.DFD: lambda: engine.dfd_batch(model, st.q, st.qd, u),
+        RBDFunction.DIFD: lambda: engine.difd_batch(model, st.q, st.qd, u,
+                                                    minv),
+    }
+    return calls[function]
 
 
 def _best_pair(fa, fb, reps: int) -> tuple[float, float]:
@@ -76,12 +80,13 @@ def run(batches=BATCHES, reps: int = 7) -> list[dict]:
         for batch in batches:
             st = BatchStates.random(model, batch, seed=0)
             u = np.random.default_rng(1).normal(size=(batch, model.nv))
-            # Many more repetitions at batch 1: each call is ~10-70 us.
+            minv = compiled.minv_batch(model, st.q)
+            # Many more repetitions at batch 1: each call is ~10-250 us.
             n_reps = reps * 40 if batch == 1 else reps
             for function in FUNCTIONS:
                 t_nat, t_comp = _best_pair(
-                    _call(native, model, function, st, u),
-                    _call(compiled, model, function, st, u), n_reps)
+                    _call(native, model, function, st, u, minv),
+                    _call(compiled, model, function, st, u, minv), n_reps)
                 rows.append({
                     "robot": robot, "function": function, "batch": batch,
                     "native_us": t_nat * 1e6, "compiled_us": t_comp * 1e6,
@@ -132,7 +137,7 @@ def _summary(rows: list[dict]) -> dict:
 
 
 def test_native_bench(once):
-    """native >= 10x compiled on FD/Minv at batch 1, >= 1x at 256."""
+    """native >= 10x compiled on FD/Minv/dFD at batch 1, >= 1x at 256."""
     import pytest
     from conftest import record_table
 
@@ -157,8 +162,8 @@ def main(argv: list[str]) -> int:
     rows = run(reps=reps)
     print(_format(rows))
     summary = _summary(rows)
-    print(f"\nmin batch-1 FD/Minv speedup {summary['min_latency_speedup']:.1f}x"
-          f" (floor {LATENCY_FLOOR:.0f}x, target {LATENCY_TARGET:.0f}x: "
+    print(f"\nmin batch-1 FD/Minv/dFD speedup "
+          f"{summary['min_latency_speedup']:.1f}x (floor {LATENCY_FLOOR:.0f}x, target {LATENCY_TARGET:.0f}x: "
           f"{'met' if summary['latency_target_met'] else 'not met'}); "
           f"min batch-256 speedup {summary['min_batch_speedup']:.1f}x "
           f"(floor {BATCH_FLOOR:.0f}x)")

@@ -73,8 +73,8 @@ def cmd_engines(_args: argparse.Namespace) -> int:
     default = default_engine_name()
     notes = {
         "loop": "per-task scalar reference",
-        "native": "generated C per robot (default); numpy plans for "
-                  "the rest",
+        "native": "generated C per robot for all seven functions "
+                  "(default); numpy plans for contact staging",
         "compiled": "structure-compiled plans; in-place backends",
         "process": f"worker-process pool ({cores} core"
                    f"{'s' if cores != 1 else ''} available)",

@@ -22,9 +22,9 @@ Interchangeable engines implement the same batched interface:
   device-resident plans.
 * ``NativeEngine`` (``"native"``, :mod:`repro.dynamics.native`) — the
   process-wide default: C generated per robot from the execution plan
-  and loaded with ctypes runs ID, M, Minv and FD without the GIL; the
-  derivatives, contact staging and robots without a library run the
-  inherited compiled plans.
+  and loaded with ctypes runs all seven functions (ID, M, Minv, FD, dID,
+  dFD, diFD) without the GIL; only contact staging and robots without a
+  library run the inherited compiled plans.
 * ``ProcessEngine`` (``"process"``, :mod:`repro.dynamics.process`) — a
   persistent worker-process pool that splits each batch across cores and
   runs the compiled engine in every worker: multi-core scale-out for the

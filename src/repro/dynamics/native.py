@@ -18,18 +18,23 @@ host.  For each robot structure it
   lock for the length of each call, so shard threads run kernels in
   parallel.
 
-Four entry points run ID (RNEA), M and Minv (MMinvGen, Algorithm 2) and
-FD (ABA) with the row loop in C, over caller-allocated C-contiguous
-float64 stacks; ``f_ext`` is a dense ``(n, nb, 6)`` stack by link index,
-or NULL.  Scratch lives on the C stack and the library holds no mutable
-global state, so calls are reentrant.
+Seven entry points run ID (RNEA), M and Minv (MMinvGen, Algorithm 2),
+FD (ABA) and the derivatives dID, dFD and diFD with the row loop in C,
+over caller-allocated C-contiguous float64 stacks; ``f_ext`` is a dense
+``(n, nb, 6)`` stack by link index, or NULL.  Every row stages its joint
+transforms once and hands them to each step.  dFD is the paper's
+function reuse (Eq. 3): one staging feeds the bias RNEA, MMinvGen,
+``qdd = Minv (tau - C)``, the RNEA at ``qdd`` and the dRNEA sweeps of
+:func:`repro.dynamics.derivatives.rnea_derivatives`, then the two
+``-Minv`` products.  Scratch lives on the C stack and the library holds
+no mutable global state, so calls are reentrant.
 
 :class:`NativeEngine` (``"native"``, the default engine) subclasses
-:class:`~repro.dynamics.engine.CompiledEngine`: everything the C does
-not cover -- the derivatives, :meth:`ExecutionPlan.stage` for contact
-solves -- runs the inherited numpy plan sweeps.  A robot whose library
-cannot be had (no compiler, a joint type the generator does not emit,
-a compile error or timeout, no private writable cache directory) runs the
+:class:`~repro.dynamics.engine.CompiledEngine`: only
+:meth:`ExecutionPlan.stage` for contact solves still runs the inherited
+numpy plan sweeps.  A robot whose library cannot be had (no compiler, a
+joint type the generator does not emit, a compile error or timeout, no
+private writable cache directory, scratch over the stack budget) runs the
 inherited methods for every function instead; the reason is recorded
 once per robot in :attr:`NativeEngine.fallbacks`.  A build problem is
 never an error of the call.
@@ -58,7 +63,7 @@ from repro.model.joints import FloatingJoint
 from repro.obs import hooks as _obs
 
 #: Bumped whenever the emitted C changes, so stale libraries are rebuilt.
-GENERATOR_VERSION = 3
+GENERATOR_VERSION = 4
 #: A compile that takes longer than this falls back to the numpy plans.
 COMPILE_TIMEOUT_S = 120.0
 COMPILE_FLAGS = ("-O3", "-fPIC", "-shared")
@@ -164,10 +169,24 @@ def slot_kinds(plan: ExecutionPlan) -> list[str]:
     return kinds
 
 
+def _kernel_stack_bytes(nb: int, nv: int) -> dict[str, int]:
+    """C-stack scratch of each kind of entry point, in bytes: its row
+    frame plus the frames of its large callees (summed, in case they are
+    inlined into one frame)."""
+    mminv = 108 * nb + 6 * nb * nv + 7 * nv     # IA, U, DI; F; T, wl
+    drnea = 24 * nb * nv + 7 * nv + 72          # D; T, one row; g, cv
+    staged = 36 * nb + 18 * nb                  # X; v, a, f
+    return {k: 8 * (x + 64) for k, x in {
+        "id": staged,
+        "fd": 36 * nb + 132 * nb,               # X; IA, U, DI, v, c, pa, ut
+        "mminv": 36 * nb + mminv,
+        "derivatives": staged + 2 * nv * nv + 2 * nv + mminv + drnea,
+    }.items()}
+
+
 def _stack_bytes(nb: int, nv: int) -> int:
-    """Scratch of the largest kernel (MMinvGen): four (nb, 6, 6) stacks
-    and the (nb, 6, nv) column accumulators."""
-    return 8 * (4 * nb * 36 + nb * 6 * nv + 12 * nv)
+    """Scratch of the largest kernel (the derivatives)."""
+    return max(_kernel_stack_bytes(nb, nv).values())
 
 
 def _num(x) -> str:
@@ -211,6 +230,11 @@ def generate_source(plan: ExecutionPlan, key: str = "") -> str:
     for slot in range(nb - 1, 0, -1):
         if parent[slot] >= 0:
             hi[parent[slot]] = max(hi[parent[slot]], hi[slot])
+    # DOF count of each slot's root path, itself included.
+    pw = k.copy()
+    for slot in range(nb):
+        if parent[slot] >= 0:
+            pw[slot] += pw[parent[slot]]
     axis = np.zeros((nb, 3))
     x_tree = np.zeros((nb, 6, 6))
     for g in plan.transform_groups:
@@ -230,14 +254,15 @@ def generate_source(plan: ExecutionPlan, key: str = "") -> str:
     )
     tables = "".join([
         "/* parent slot (-1: root), link index, joint kind, first DOF,\n"
-        " * DOF count and subtree DOF span end of each slot, in plan slot\n"
-        " * order */\n",
+        " * DOF count, subtree DOF span end and root path DOF count of\n"
+        " * each slot, in plan slot order */\n",
         _table("int", "PARENT", parent),
         _table("int", "LINK", plan.link_of_slot),
         _table("int", "KIND", [_KIND_CODES[kd] for kd in kinds]),
         _table("int", "Q0", q0),
         _table("int", "K", k),
         _table("int", "HI", hi),
+        _table("int", "PW", pw),
         "/* joint axes, motion subspaces (6 x 6, first K columns), tree\n"
         " * transforms and spatial inertias, row-major */\n",
         _table("double", "AXIS", axis),
@@ -256,7 +281,10 @@ def generate_source(plan: ExecutionPlan, key: str = "") -> str:
 #: columns in q order, where every link's subtree columns lie in
 #: ``[Q0, HI)``: the backward sweep runs at that window (the rest of
 #: the row is a structural zero), the forward sweep at ``[Q0, NV)``
-#: like the scalar reference.
+#: like the scalar reference.  dRNEA keeps compact columns per slot
+#: (root path first, then the subtree run): on atlas that cut its row
+#: time by about a quarter against q-order windows, which in turn ran
+#: about twice as fast as full-width rows.
 _KERNELS = r"""
 enum { REVOLUTE = 0, PRISMATIC = 1, FLOATING = 2 };
 
@@ -484,12 +512,31 @@ static void inv_k(const double *d, double *di, int k)
             di[i * 6 + j] = a[i][k + j];
 }
 
-/* RNEA (Algorithm 1) for one row */
-static void rnea_row(const double *q, const double *qd, const double *qdd,
-                     const double *fe, double *tau)
+/* v[s]: link velocities over the staged transforms X */
+static void velocities(const double (*X)[36], const double *qd,
+                       double (*v)[6])
 {
-    double X[NB][36], v[NB][6], a[NB][6], f[NB][6];
-    stage(q, X);
+    for (int s = 0; s < NB; ++s) {
+        double vj[6], t[6];
+        const int p = PARENT[s];
+        sub_mul(s, qd + Q0[s], vj);
+        if (p < 0) {
+            memcpy(v[s], vj, sizeof vj);
+        } else {
+            mv6(X[s], v[p], t);
+            for (int i = 0; i < 6; ++i)
+                v[s][i] = t[i] + vj[i];
+        }
+    }
+}
+
+/* RNEA (Algorithm 1) for one row over the staged transforms X and the
+ * velocities v: accelerations a, forces f (summed over each subtree once
+ * the backward sweep is done) and tau */
+static void rnea_row(const double (*X)[36], const double (*v)[6],
+                     const double *qd, const double *qdd, const double *fe,
+                     double (*a)[6], double (*f)[6], double *tau)
+{
     for (int s = 0; s < NB; ++s) {
         double vj[6], aj[6], t[6], c[6], iv[6];
         const int p = PARENT[s];
@@ -497,14 +544,9 @@ static void rnea_row(const double *q, const double *qd, const double *qdd,
         sub_mul(s, qdd + Q0[s], aj);
         if (p < 0) {
             mv6(X[s], A0, t);
-            for (int i = 0; i < 6; ++i) {
-                v[s][i] = vj[i];
-                a[s][i] = t[i] + aj[i];
-            }
-        } else {
-            mv6(X[s], v[p], t);
             for (int i = 0; i < 6; ++i)
-                v[s][i] = t[i] + vj[i];
+                a[s][i] = t[i] + aj[i];
+        } else {
             mv6(X[s], a[p], t);
             cross_motion(v[s], vj, c);
             for (int i = 0; i < 6; ++i)
@@ -528,24 +570,16 @@ static void rnea_row(const double *q, const double *qd, const double *qdd,
     }
 }
 
-/* Articulated-body forward dynamics for one row */
-static void aba_row(const double *q, const double *qd, const double *tau,
-                    const double *fe, double *qdd)
+/* Articulated-body forward dynamics for one row over the staged X */
+static void aba_row(const double (*X)[36], const double *qd,
+                    const double *tau, const double *fe, double *qdd)
 {
-    double X[NB][36], IA[NB][36], U[NB][36], DI[NB][36];
+    double IA[NB][36], U[NB][36], DI[NB][36];
     double v[NB][6], c[NB][6], pa[NB][6], ut[NB][6];
-    stage(q, X);
+    velocities(X, qd, v);
     for (int s = 0; s < NB; ++s) {
-        double vj[6], t[6], iv[6];
-        const int p = PARENT[s];
+        double vj[6], iv[6];
         sub_mul(s, qd + Q0[s], vj);
-        if (p < 0) {
-            memcpy(v[s], vj, sizeof vj);
-        } else {
-            mv6(X[s], v[p], t);
-            for (int i = 0; i < 6; ++i)
-                v[s][i] = t[i] + vj[i];
-        }
         cross_motion(v[s], vj, c[s]);
         mv6(INER[s], v[s], iv);
         cross_force(v[s], iv, pa[s]);
@@ -622,14 +656,13 @@ static void aba_row(const double *q, const double *qd, const double *tau,
     }
 }
 
-/* MMinvGen (Algorithm 2) for one row: M (minv = 0) or Minv into out.
- * Column loops run innermost over contiguous memory. */
-static void mminv_row(const double *q, double *out, int minv)
+/* MMinvGen (Algorithm 2) for one row over the staged X: M (minv = 0)
+ * or Minv into out.  Column loops run innermost over contiguous memory. */
+static void mminv_row(const double (*X)[36], double *out, int minv)
 {
-    double X[NB][36], IA[NB][36], U[NB][36], DI[NB][36];
+    double IA[NB][36], U[NB][36], DI[NB][36];
     double F[NB][6][NV];    /* force columns; the forward sweep's P */
     double T[6][NV];
-    stage(q, X);
     for (int s = 0; s < NB; ++s) {
         memcpy(IA[s], INER[s], sizeof IA[s]);
         for (int i = 0; i < 6; ++i)
@@ -752,32 +785,314 @@ static void mminv_row(const double *q, double *out, int minv)
             out[c * NV + r] = out[r * NV + c];
 }
 
+/* out[i][c] = sum_m A[i][m] in[m][c] (tr = 0) or sum_m A[m][i] in[m][c]
+ * (tr = 1) over the columns [0, w) of 6-row blocks with stride NV; acc
+ * = 0 assigns, 1 adds, -1 subtracts.  Zero weights are skipped. */
+static void mcols(const double *A, int tr, double (*in)[NV],
+                  double (*out)[NV], int w, int acc)
+{
+    for (int i = 0; i < 6; ++i) {
+        double *o = out[i];
+        if (!acc)
+            memset(o, 0, w * sizeof(double));
+        for (int m = 0; m < 6; ++m) {
+            const double x = tr ? A[m * 6 + i] : A[i * 6 + m];
+            const double g = acc < 0 ? -x : x;
+            if (g != 0.0)
+                for (int c = 0; c < w; ++c)
+                    o[c] += g * in[m][c];
+        }
+    }
+}
+
+/* o = crm(a), the 6 x 6 operator of m -> a x m */
+static void crm6(const double *a, double *o)
+{
+    for (int j = 0; j < 6; ++j) {
+        double e[6] = {0}, t[6];
+        e[j] = 1.0;
+        cross_motion(a, e, t);
+        for (int i = 0; i < 6; ++i)
+            o[i * 6 + j] = t[i];
+    }
+}
+
+/* g with g dv = dv x* (I v) + v x* (I dv), the gyroscopic part of the
+ * body-force derivative of slot s */
+static void gyro(int s, const double *v, double *g)
+{
+    double h[6];
+    mv6(INER[s], v, h);
+    for (int j = 0; j < 6; ++j) {
+        double e[6] = {0}, ic[6], t[6], u[6];
+        e[j] = 1.0;
+        for (int i = 0; i < 6; ++i)
+            ic[i] = INER[s][i * 6 + j];
+        cross_force(e, h, t);
+        cross_force(v, ic, u);
+        for (int i = 0; i < 6; ++i)
+            g[i * 6 + j] = t[i] + u[i];
+    }
+}
+
+/* dRNEA (repro.dynamics.derivatives.rnea_derivatives) for one row at the
+ * state rnea_row left: velocities v, accelerations a and subtree forces
+ * f.  Writes dtau/dq and dtau/dqd (NV x NV, q order).
+ *
+ * Columns are compact per slot.  The forward blocks D[s] = [dv/dq,
+ * dv/dqd, da/dq, da/dqd] are nonzero only at the DOFs of the root path,
+ * kept root first in columns [0, PW[s]): the parent's path is a prefix,
+ * the joint's own DOFs come last.  The da blocks then become the body
+ * forces' derivatives df, which also gather the subtree's DOFs, q
+ * columns [Q0 + K, HI), in columns PW[s] onwards: a joint's own and
+ * subtree columns are one run that lands on the parent's subtree run. */
+static void rnea_derivatives_row(const double (*X)[36], const double *qd,
+                                 const double (*v)[6], const double (*a)[6],
+                                 const double (*f)[6], double *dq,
+                                 double *dqd)
+{
+    double D[NB][4][6][NV];
+    for (int s = 0; s < NB; ++s) {
+        const int p = PARENT[s], k = K[s], w = PW[s];
+        const int wp = w - k;
+        double (*d)[6][NV] = D[s];
+        double vj[6], xv[6], xa[6], cv[36], sj[6], t[6];
+        sub_mul(s, qd + Q0[s], vj);
+        mv6(X[s], p < 0 ? A0 : a[p], xa);
+        if (p >= 0)
+            mv6(X[s], v[p], xv);
+        for (int b = 0; b < 4; ++b) {
+            if (p >= 0)
+                mcols(X[s], 0, D[p][b], d[b], wp, 0);
+            for (int i = 0; i < 6; ++i)
+                memset(&d[b][i][wp], 0, k * sizeof(double));
+        }
+        for (int j = 0; j < k; ++j) {   /* the joint's own columns */
+            for (int i = 0; i < 6; ++i)
+                sj[i] = SUB[s][i * 6 + j];
+            if (p >= 0) {
+                cross_motion(xv, sj, t);
+                for (int i = 0; i < 6; ++i)
+                    d[0][i][wp + j] += t[i];
+            }
+            cross_motion(xa, sj, t);
+            for (int i = 0; i < 6; ++i) {
+                d[1][i][wp + j] += sj[i];
+                d[2][i][wp + j] += t[i];
+            }
+        }
+        crm6(vj, cv);       /* a holds v x vj: differentiate both factors */
+        mcols(cv, 0, d[0], d[2], w, -1);
+        mcols(cv, 0, d[1], d[3], w, -1);
+        for (int j = 0; j < k; ++j) {
+            for (int i = 0; i < 6; ++i)
+                sj[i] = SUB[s][i * 6 + j];
+            cross_motion(v[s], sj, t);
+            for (int i = 0; i < 6; ++i)
+                d[3][i][wp + j] += t[i];
+        }
+    }
+    for (int s = 0; s < NB; ++s) {      /* df = I da + gyro dv */
+        const int w = PW[s], bw = w + HI[s] - Q0[s] - K[s];
+        double g[36], T[6][NV];
+        gyro(s, v[s], g);
+        for (int b = 0; b < 2; ++b) {
+            mcols(INER[s], 0, D[s][2 + b], T, w, 0);
+            mcols(g, 0, D[s][b], T, w, 1);
+            for (int i = 0; i < 6; ++i) {
+                memcpy(D[s][2 + b][i], T[i], w * sizeof(double));
+                memset(&D[s][2 + b][i][w], 0, (bw - w) * sizeof(double));
+            }
+        }
+    }
+    for (int s = NB - 1; s >= 0; --s) {
+        const int p = PARENT[s], k = K[s], r0 = Q0[s], w = PW[s];
+        const int run = HI[s] - r0, bw = w + run - k;
+        double (*df)[6][NV] = D[s] + 2;
+        for (int j = 0; j < k; ++j) {   /* dtau rows: S^T df, scattered */
+            for (int b = 0; b < 2; ++b) {
+                double *row = (b ? dqd : dq) + (r0 + j) * NV, r[NV];
+                for (int c = 0; c < bw; ++c)
+                    r[c] = 0.0;
+                for (int i = 0; i < 6; ++i) {
+                    const double x = SUB[s][i * 6 + j];
+                    if (x != 0.0)
+                        for (int c = 0; c < bw; ++c)
+                            r[c] += x * df[b][i][c];
+                }
+                memset(row, 0, NV * sizeof(double));
+                for (int l = s; l >= 0; l = PARENT[l])
+                    memcpy(row + Q0[l], r + PW[l] - K[l],
+                           K[l] * sizeof(double));
+                memcpy(row + r0 + k, r + w, (run - k) * sizeof(double));
+            }
+        }
+        if (p < 0)
+            continue;
+        for (int j = 0; j < k; ++j) {   /* btr: S_j x* f in its own column */
+            double sj[6], t[6];
+            for (int i = 0; i < 6; ++i)
+                sj[i] = SUB[s][i * 6 + j];
+            cross_force(sj, f[s], t);
+            for (int i = 0; i < 6; ++i)
+                df[0][i][w - k + j] += t[i];
+        }
+        /* the path part onto the parent's path, the own and subtree run
+         * onto the parent's subtree run */
+        const int wp = w - k, at = wp + r0 - Q0[p] - K[p];
+        for (int b = 0; b < 2; ++b) {
+            mcols(X[s], 1, df[b], D[p][2 + b], wp, 1);
+            mcols(X[s], 1, (double (*)[NV]) &df[b][0][wp],
+                  (double (*)[NV]) &D[p][2 + b][0][at], run, 1);
+        }
+    }
+}
+
+/* out = -minv b for NV x NV blocks */
+static void neg_minv_mul(const double *minv, const double *b, double *out)
+{
+    for (int r = 0; r < NV; ++r) {
+        double *o = out + r * NV;
+        memset(o, 0, NV * sizeof(double));
+        for (int m = 0; m < NV; ++m) {
+            const double w = minv[r * NV + m];
+            for (int c = 0; c < NV; ++c)
+                o[c] -= w * b[m * NV + c];
+        }
+    }
+}
+
+/* dFD (Eq. 3) for one row: one staging feeds the bias RNEA, MMinvGen,
+ * qdd = Minv (tau - C), the RNEA at qdd (same velocities) and dRNEA;
+ * then dqdd/du = -Minv dtau/du */
+static void dfd_row(const double *q, const double *qd, const double *tau,
+                    const double *fe, double *qdd, double *dq, double *dqd,
+                    double *minv)
+{
+    double X[NB][36], v[NB][6], a[NB][6], f[NB][6];
+    double c[NV], zero[NV] = {0}, dtq[NV * NV], dtqd[NV * NV];
+    stage(q, X);
+    velocities(X, qd, v);
+    rnea_row(X, v, qd, zero, fe, a, f, c);
+    mminv_row(X, minv, 1);
+    for (int r = 0; r < NV; ++r) {
+        double x = 0.0;
+        for (int m = 0; m < NV; ++m)
+            x += minv[r * NV + m] * (tau[m] - c[m]);
+        qdd[r] = x;
+    }
+    rnea_row(X, v, qd, qdd, fe, a, f, c);
+    rnea_derivatives_row(X, qd, v, a, f, dtq, dtqd);
+    neg_minv_mul(minv, dtq, dq);
+    neg_minv_mul(minv, dtqd, dqd);
+}
+
+/* diFD for one row: qdd known, Minv too unless computed here (given = 0) */
+static void difd_row(const double *q, const double *qd, const double *qdd,
+                     const double *fe, double *minv, int given, double *dq,
+                     double *dqd)
+{
+    double X[NB][36], v[NB][6], a[NB][6], f[NB][6];
+    double c[NV], dtq[NV * NV], dtqd[NV * NV];
+    stage(q, X);
+    if (!given)
+        mminv_row(X, minv, 1);
+    velocities(X, qd, v);
+    rnea_row(X, v, qd, qdd, fe, a, f, c);
+    rnea_derivatives_row(X, qd, v, a, f, dtq, dtqd);
+    neg_minv_mul(minv, dtq, dq);
+    neg_minv_mul(minv, dtqd, dqd);
+}
+
+/* dID for one row */
+static void did_row(const double *q, const double *qd, const double *qdd,
+                    const double *fe, double *dq, double *dqd)
+{
+    double X[NB][36], v[NB][6], a[NB][6], f[NB][6], c[NV];
+    stage(q, X);
+    velocities(X, qd, v);
+    rnea_row(X, v, qd, qdd, fe, a, f, c);
+    rnea_derivatives_row(X, qd, v, a, f, dq, dqd);
+}
+
+static void id_row(const double *q, const double *qd, const double *qdd,
+                   const double *fe, double *tau)
+{
+    double X[NB][36], v[NB][6], a[NB][6], f[NB][6];
+    stage(q, X);
+    velocities(X, qd, v);
+    rnea_row(X, v, qd, qdd, fe, a, f, tau);
+}
+
+static void fd_row(const double *q, const double *qd, const double *tau,
+                   const double *fe, double *qdd)
+{
+    double X[NB][36];
+    stage(q, X);
+    aba_row(X, qd, tau, fe, qdd);
+}
+
+static void mass_row(const double *q, double *out, int minv)
+{
+    double X[NB][36];
+    stage(q, X);
+    mminv_row(X, out, minv);
+}
+
+#define FE(i) (fext ? fext + (i) * NB * 6 : 0)
+
 void repro_id(long n, const double *q, const double *qd, const double *qdd,
               const double *fext, double *tau)
 {
     for (long i = 0; i < n; ++i)
-        rnea_row(q + i * NV, qd + i * NV, qdd + i * NV,
-                 fext ? fext + i * NB * 6 : 0, tau + i * NV);
+        id_row(q + i * NV, qd + i * NV, qdd + i * NV, FE(i), tau + i * NV);
 }
 
 void repro_m(long n, const double *q, double *out)
 {
     for (long i = 0; i < n; ++i)
-        mminv_row(q + i * NV, out + i * NV * NV, 0);
+        mass_row(q + i * NV, out + i * NV * NV, 0);
 }
 
 void repro_minv(long n, const double *q, double *out)
 {
     for (long i = 0; i < n; ++i)
-        mminv_row(q + i * NV, out + i * NV * NV, 1);
+        mass_row(q + i * NV, out + i * NV * NV, 1);
 }
 
 void repro_fd(long n, const double *q, const double *qd, const double *tau,
               const double *fext, double *qdd)
 {
     for (long i = 0; i < n; ++i)
-        aba_row(q + i * NV, qd + i * NV, tau + i * NV,
-                fext ? fext + i * NB * 6 : 0, qdd + i * NV);
+        fd_row(q + i * NV, qd + i * NV, tau + i * NV, FE(i), qdd + i * NV);
+}
+
+void repro_did(long n, const double *q, const double *qd, const double *qdd,
+               const double *fext, double *dq, double *dqd)
+{
+    for (long i = 0; i < n; ++i)
+        did_row(q + i * NV, qd + i * NV, qdd + i * NV, FE(i),
+                dq + i * NV * NV, dqd + i * NV * NV);
+}
+
+void repro_dfd(long n, const double *q, const double *qd, const double *tau,
+               const double *fext, double *qdd, double *dq, double *dqd,
+               double *minv)
+{
+    for (long i = 0; i < n; ++i)
+        dfd_row(q + i * NV, qd + i * NV, tau + i * NV, FE(i), qdd + i * NV,
+                dq + i * NV * NV, dqd + i * NV * NV, minv + i * NV * NV);
+}
+
+/* minv: the given Minv stack (given = 1) or where to write it */
+void repro_difd(long n, const double *q, const double *qd,
+                const double *qdd, const double *fext, double *minv,
+                int given, double *dq, double *dqd)
+{
+    for (long i = 0; i < n; ++i)
+        difd_row(q + i * NV, qd + i * NV, qdd + i * NV, FE(i),
+                 minv + i * NV * NV, given, dq + i * NV * NV,
+                 dqd + i * NV * NV);
 }
 """
 
@@ -863,7 +1178,8 @@ _NATIVE = {"impl": "native"}
 
 
 class NativeKernels:
-    """One loaded library: ID, M, Minv and FD over ``n`` task rows."""
+    """One loaded library: ID, M, Minv and FD, and the derivatives dID,
+    dFD and diFD, over ``n`` task rows."""
 
     def __init__(self, path: Path, plan: ExecutionPlan, key: str) -> None:
         lib = ctypes.CDLL(str(path))
@@ -881,7 +1197,15 @@ class NativeKernels:
             fn.argtypes = (ctypes.c_long, _P, _P)
         self._fd = lib.repro_fd
         self._fd.argtypes = (ctypes.c_long, _P, _P, _P, _P, _P)
-        for fn in (self._id, self._m, self._minv, self._fd):
+        self._did = lib.repro_did
+        self._did.argtypes = (ctypes.c_long, _P, _P, _P, _P, _P, _P)
+        self._dfd = lib.repro_dfd
+        self._dfd.argtypes = (ctypes.c_long, _P, _P, _P, _P, _P, _P, _P, _P)
+        self._difd = lib.repro_difd
+        self._difd.argtypes = (ctypes.c_long, _P, _P, _P, _P, _P,
+                               ctypes.c_int, _P, _P)
+        for fn in (self._id, self._m, self._minv, self._fd, self._did,
+                   self._dfd, self._difd):
             fn.restype = None
 
     def _rows(self, name: str, a, n: int | None = None) -> np.ndarray:
@@ -903,6 +1227,9 @@ class NativeKernels:
         for link, stack in f_ext.items():
             fe[:, link] += stack
         return fe, _addr(fe)
+
+    def _square(self, n: int) -> np.ndarray:
+        return np.empty((n, self.nv, self.nv))
 
     def id(self, q, qd, qdd, f_ext=None) -> np.ndarray:
         q = self._rows("q", q)
@@ -929,11 +1256,61 @@ class NativeKernels:
     def mass(self, q, inverse: bool) -> np.ndarray:
         q = self._rows("q", q)
         n = q.shape[0]
-        out = np.empty((n, self.nv, self.nv))
+        out = self._square(n)
         t0 = _obs.kernel_begin()
         (self._minv if inverse else self._m)(n, _addr(q), _addr(out))
         _obs.kernel_end(t0, self.robot, "mminvgen", n, _NATIVE)
         return out
+
+    def did(self, q, qd, qdd, f_ext=None):
+        """``(dtau_dq, dtau_dqd)``."""
+        q = self._rows("q", q)
+        n = q.shape[0]
+        qd, qdd = self._rows("qd", qd, n), self._rows("qdd", qdd, n)
+        fe, fe_ptr = self._f_ext(f_ext, n)
+        dq, dqd = self._square(n), self._square(n)
+        t0 = _obs.kernel_begin()
+        self._did(n, _addr(q), _addr(qd), _addr(qdd), fe_ptr, _addr(dq),
+                  _addr(dqd))
+        _obs.kernel_end(t0, self.robot, "rnea_derivatives", n, _NATIVE)
+        return dq, dqd
+
+    def dfd(self, q, qd, tau, f_ext=None):
+        """``(qdd, dqdd_dq, dqdd_dqd, minv)``."""
+        q = self._rows("q", q)
+        n = q.shape[0]
+        qd, tau = self._rows("qd", qd, n), self._rows("tau", tau, n)
+        fe, fe_ptr = self._f_ext(f_ext, n)
+        qdd = np.empty((n, self.nv))
+        dq, dqd, minv = self._square(n), self._square(n), self._square(n)
+        t0 = _obs.kernel_begin()
+        self._dfd(n, _addr(q), _addr(qd), _addr(tau), fe_ptr, _addr(qdd),
+                  _addr(dq), _addr(dqd), _addr(minv))
+        _obs.kernel_end(t0, self.robot, "rnea_derivatives", n, _NATIVE)
+        return qdd, dq, dqd, minv
+
+    def difd(self, q, qd, qdd, minv=None, f_ext=None):
+        """``(qdd, dqdd_dq, dqdd_dqd, minv)``; ``minv`` is computed
+        unless given."""
+        q = self._rows("q", q)
+        n = q.shape[0]
+        qd, qdd = self._rows("qd", qd, n), self._rows("qdd", qdd, n)
+        fe, fe_ptr = self._f_ext(f_ext, n)
+        given = minv is not None
+        if given:
+            minv = np.ascontiguousarray(minv, dtype=np.float64)
+            if minv.shape != (n, self.nv, self.nv):
+                raise ValueError(
+                    f"minv must have shape ({n}, {self.nv}, {self.nv}), "
+                    f"got {minv.shape}")
+        else:
+            minv = self._square(n)
+        dq, dqd = self._square(n), self._square(n)
+        t0 = _obs.kernel_begin()
+        self._difd(n, _addr(q), _addr(qd), _addr(qdd), fe_ptr, _addr(minv),
+                   given, _addr(dq), _addr(dqd))
+        _obs.kernel_end(t0, self.robot, "rnea_derivatives", n, _NATIVE)
+        return qdd, dq, dqd, minv
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +1319,8 @@ class NativeKernels:
 
 
 class NativeEngine(CompiledEngine):
-    """Generated C for ID, M, Minv and FD; the numpy plans for the rest.
+    """Generated C for all seven functions; the numpy plans for contact
+    :meth:`~repro.dynamics.plan.ExecutionPlan.stage`.
 
     Libraries are resolved once per robot model -- on
     :meth:`prepare` (the service calls it for ``warm_robots``) or on
@@ -1055,6 +1433,24 @@ class NativeEngine(CompiledEngine):
         if k is None:
             return super().fd_batch(model, q, qd, tau, f_ext)
         return k.fd(q, qd, tau, f_ext)
+
+    def did_batch(self, model, q, qd, qdd, f_ext=None):
+        k = self.kernels(model)
+        if k is None:
+            return super().did_batch(model, q, qd, qdd, f_ext)
+        return k.did(q, qd, qdd, f_ext)
+
+    def dfd_batch(self, model, q, qd, tau, f_ext=None):
+        k = self.kernels(model)
+        if k is None:
+            return super().dfd_batch(model, q, qd, tau, f_ext)
+        return k.dfd(q, qd, tau, f_ext)
+
+    def difd_batch(self, model, q, qd, qdd, minv=None, f_ext=None):
+        k = self.kernels(model)
+        if k is None:
+            return super().difd_batch(model, q, qd, qdd, minv, f_ext)
+        return k.difd(q, qd, qdd, minv, f_ext)
 
 
 __all__ = [

@@ -39,8 +39,8 @@ Architecture — the life of a request::
     * The shard evaluates the batch through an **execution engine**
       (:mod:`repro.dynamics.engine`): by default the ``"native"``
       engine, which runs C generated per robot from its cached
-      execution plan (:mod:`repro.dynamics.native`) and, for the
-      derivatives and contact staging, the structure-compiled plan
+      execution plan (:mod:`repro.dynamics.native`) and, for contact
+      staging, the structure-compiled plan
       itself (:mod:`repro.dynamics.plan`) — level-scheduled recursions
       over preallocated workspaces.  Both are numerically identical to
       per-request :func:`repro.dynamics.functions.evaluate`; the

@@ -93,8 +93,8 @@ class ShardConfig:
 _ENGINE_HINTS = {
     "loop": 1.0,
     "compiled": 12.0,
-    # Generated C for ID/M/Minv/FD (14-53x compiled at n = 1 on
-    # bench_native); the derivatives still run the compiled plans.
+    # Generated C for all seven functions (10-77x compiled at n = 1 on
+    # bench_native, dFD included); only contact staging runs the plans.
     "native": 40.0,
     # Trace-compiled functional kernels: whole Table-I functions fused
     # by XLA, amortized after the first-call compile.

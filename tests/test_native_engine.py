@@ -1,13 +1,13 @@
 """The native engine: generated C kernels, their build cache, fallbacks.
 
 Equivalence follows ``test_backend``'s contract: ``native`` == ``loop``
-at 1e-10.  ID, M, Minv and FD run in C at batch 1 and 256 (with and
-without per-task f_ext) on every library robot, random trees and a
-floating joint below a revolute root; the derivatives run the inherited
-compiled plans and are checked too.  Rerooted atlas (ScrewJoint) and
-split hyq (Spherical + Translation3) have joints the generator does not
-emit and must match ``loop`` through the fallback.  Assertions about C
-itself skip cleanly on hosts without ``cc``.
+at 1e-10.  All seven functions -- ID, M, Minv, FD and the derivatives
+dID, dFD and diFD -- run in C at batch 1 and 256 (with and without
+per-task f_ext) on every library robot, random trees and a floating
+joint below a revolute root.  Rerooted atlas (ScrewJoint) and split hyq
+(Spherical + Translation3) have joints the generator does not emit and
+must match ``loop`` through the fallback.  Assertions about C itself
+skip cleanly on hosts without ``cc``.
 """
 
 import os
@@ -29,6 +29,7 @@ from test_jit_engine import (
     floating_under_revolute,
 )
 
+from repro import obs
 from repro.dynamics import BatchStates, batch_evaluate
 from repro.dynamics import native
 from repro.dynamics.engine import default_engine_name, get_engine
@@ -42,9 +43,7 @@ from repro.serve import DynamicsService
 HAS_CC = native.find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 
-C_FUNCTIONS = [RBDFunction.ID, RBDFunction.M, RBDFunction.MINV,
-               RBDFunction.FD]
-DERIVATIVES = [RBDFunction.DID, RBDFunction.DFD, RBDFunction.DIFD]
+C_FUNCTIONS = list(RBDFunction)
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +66,9 @@ def test_library_robots_run_c(engine, robot):
 @pytest.mark.parametrize("n", [1, 256])
 @pytest.mark.parametrize("robot", ROBOTS)
 def test_native_matches_loop(engine, robot, n):
-    """The C functions at batch 1 and 256; the derivatives (compiled
-    plans) at batch 1."""
+    """All seven C functions at batch 1 and 256."""
     model = load_robot(robot)
-    for function in C_FUNCTIONS + (DERIVATIVES if n == 1 else []):
+    for function in C_FUNCTIONS:
         states, u, minv = _batch_inputs(model, function, n)
         got = batch_evaluate(model, function, states, u, minv=minv,
                              engine=engine)
@@ -79,7 +77,7 @@ def test_native_matches_loop(engine, robot, n):
 
 @pytest.mark.parametrize("n", [1, 256])
 @pytest.mark.parametrize("function", [RBDFunction.ID, RBDFunction.FD,
-                                      RBDFunction.DFD],
+                                      RBDFunction.DID, RBDFunction.DFD],
                          ids=lambda f: f.value)
 def test_native_f_ext(engine, function, n):
     """Per-task forces on every non-root level (siblings under a shared
@@ -97,6 +95,46 @@ def test_native_f_ext(engine, function, n):
             f_ext={link: np.broadcast_to(f, (n, 6))[rows]
                    for link, f in f_ext.items()})
         assert_results_match(function, [got[k] for k in rows], want)
+
+
+@pytest.mark.parametrize("n", [1, 256])
+def test_native_difd_with_and_without_minv(engine, n):
+    """diFD computes Minv when none is given (matching ``loop``, which
+    is given one) and takes a supplied Minv as is."""
+    function = RBDFunction.DIFD
+    for robot in ("hyq", "atlas"):
+        model = load_robot(robot)
+        # The diFD inputs without their Minv stack: same states and u.
+        states, u, _ = _batch_inputs(model, RBDFunction.DFD, n)
+        got = batch_evaluate(model, function, states, u, engine=engine)
+        assert_matches_loop(robot, function, n, got)
+        minv = engine.minv_batch(model, states.q)
+        given = engine.difd_batch(model, states.q, states.qd, u, minv)
+        computed = engine.difd_batch(model, states.q, states.qd, u)
+        assert given[3] is minv
+        for a, b in zip(given, computed):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@needs_cc
+@pytest.mark.parametrize("function", [RBDFunction.DID, RBDFunction.DFD,
+                                      RBDFunction.DIFD],
+                         ids=lambda f: f.value)
+def test_native_derivatives_book_native_spans(engine, function):
+    """A derivative runs as one C call: its only kernel span is
+    ``rnea_derivatives`` marked ``impl=native``.  A silent fallback to
+    the numpy plans books its transform, RNEA and MMinvGen sweeps and an
+    unmarked ``rnea_derivatives`` span, and fails here."""
+    model = load_robot("hyq")
+    states, u, minv = _batch_inputs(model, function, 2)
+    tracer = obs.Tracer()
+    with obs.profiled(tracer=tracer) as prof:
+        batch_evaluate(model, function, states, u, minv=minv, engine=engine)
+    kernels = {k for robot, k in prof.breakdown()
+               if not k.startswith("dispatch.")}
+    assert kernels == {"rnea_derivatives"}
+    spans = [s for s in tracer.spans() if s.name == "hyq.rnea_derivatives"]
+    assert [s.args for s in spans] == [{"rows": 2, "impl": "native"}]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -176,8 +214,8 @@ def test_two_threads_build_one_library(monkeypatch, tmp_path):
     assert again.builds == 0
 
 
-def _assert_fallback_matches_loop(eng, reason):
-    for robot in ROBOTS:
+def _assert_fallback_matches_loop(eng, reason, robots=ROBOTS):
+    for robot in robots:
         model = load_robot(robot)
         for function in C_FUNCTIONS:
             states, u, minv = _batch_inputs(model, function, 2)
@@ -198,8 +236,18 @@ def test_no_compiler_falls_back(monkeypatch):
 
 
 def test_scratch_over_stack_budget_falls_back(monkeypatch):
-    monkeypatch.setattr(native, "MAX_STACK_BYTES", 0)
-    _assert_fallback_matches_loop(NativeEngine(), "stack budget")
+    """The budget is checked against the derivative kernels' scratch,
+    the largest: one byte short of it, a robot falls back even though
+    every other kernel's scratch fits."""
+    for robot in ("iiwa", "atlas"):
+        model = load_robot(robot)
+        sizes = native._kernel_stack_bytes(model.nb, model.nv)
+        derivatives = sizes.pop("derivatives")
+        assert max(sizes.values()) < derivatives
+        assert derivatives == native._stack_bytes(model.nb, model.nv)
+        monkeypatch.setattr(native, "MAX_STACK_BYTES", derivatives - 1)
+        _assert_fallback_matches_loop(NativeEngine(), "stack budget",
+                                      [robot])
 
 
 @needs_cc
@@ -291,3 +339,6 @@ def test_bad_operand_shape_raises(engine):
     with pytest.raises(ValueError, match="qd must have shape"):
         engine.fd_batch(model, np.zeros((2, 7)), np.zeros((3, 7)),
                         np.zeros((2, 7)))
+    with pytest.raises(ValueError, match="minv must have shape"):
+        engine.difd_batch(model, np.zeros((2, 7)), np.zeros((2, 7)),
+                          np.zeros((2, 7)), np.zeros((2, 6, 6)))
