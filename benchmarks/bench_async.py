@@ -14,8 +14,8 @@ Four sections, each pinned to an acceptance criterion:
 * **autoscale** — a bursty load against a 1-shard pool with the
   autoscaler armed must grow the pool during the burst AND shrink it
   after, with zero failed requests across the scaling events.  The
-  burst is sized from the pool's measured capacity (2x over one
-  decision interval), like the isolation section's overload.
+  burst offers 2x the pool's measured capacity, like the isolation
+  section's overload.
 * **availability** — the fleet simulation: ~1k concurrent coroutine
   clients (Poisson telemetry + closed-loop MPC streams) with 5% of
   shard executions faulting; availability must stay >= 99%.
@@ -26,7 +26,6 @@ Runs under pytest (table summary) or directly for CI smoke::
 """
 
 import asyncio
-import math
 import statistics
 import sys
 import time
@@ -50,9 +49,6 @@ STREAM_SPEEDUP_FLOOR = 2.0
 ISOLATION_FACTOR = 1.2
 ISOLATION_EPSILON_S = 3e-3
 ISOLATION_HORIZON = 32
-#: The decision interval ``run_async_load`` arms its autoscaler with:
-#: the autoscale burst offers its overload within one interval.
-AUTOSCALE_TICK_S = 0.05
 #: Availability acceptance at the anchor fault rate.
 FAULT_RATE = 0.05
 AVAILABILITY_FLOOR = 0.99
@@ -160,6 +156,17 @@ async def _aggressor_run(gw: AsyncGateway, tenant: str, horizon: int,
     await asyncio.gather(*tasks)
 
 
+async def _fd_capacity(gw: AsyncGateway, n: int = 64) -> float:
+    """Measured pool capacity, FD requests/s end to end (a saturating
+    burst through the gateway)."""
+    q = np.zeros(NV)
+    t0 = time.perf_counter()
+    await asyncio.gather(*[
+        gw.submit(ROBOT, RBDFunction.FD, q, q, q) for _ in range(n)
+    ])
+    return n / (time.perf_counter() - t0)
+
+
 def run_isolation_bench(n_priority: int = 160, n_aggressors: int = 2,
                         overload_factor: float = 2.0,
                         passes: int = 4) -> dict:
@@ -183,20 +190,10 @@ def run_isolation_bench(n_priority: int = 160, n_aggressors: int = 2,
     gw = AsyncGateway(svc)
     gw.set_policy("priority", TenantPolicy(priority="interactive",
                                            rate_rps=100_000, burst=100_000))
-    q = np.zeros(NV)
     gap_priority = 0.004
 
-    async def calibrate() -> float:
-        """Measured pool capacity, FD requests/s (a saturating burst)."""
-        n = 64
-        t0 = time.perf_counter()
-        await asyncio.gather(*[
-            gw.submit(ROBOT, RBDFunction.FD, q, q, q) for _ in range(n)
-        ])
-        return n / (time.perf_counter() - t0)
-
     try:
-        capacity_rps = asyncio.run(calibrate())
+        capacity_rps = asyncio.run(_fd_capacity(gw))
         # Aggressors collectively offer overload_factor * capacity in
         # cost units (a rollout costs its horizon); their buckets clip
         # pool-wide aggressor admission to ~0.5% of capacity — a
@@ -276,46 +273,41 @@ def run_autoscale_bench(quick: bool = False,
                         overload_factor: float = 2.0) -> dict:
     """Bursty load against a 1-shard pool; must grow AND shrink.
 
-    The burst is sized from the pool's measured capacity, the one the
-    autoscaler divides by: a calibration pass of the same client mix
-    (no autoscaler) fills the shard's throughput EWMA, in rows/s.  The
-    closed-loop MPC clients then open with rollouts long enough that
-    their first submissions alone offer ``overload_factor`` times that
-    capacity over one autoscaler decision interval (a rollout costs its
-    horizon).  A fixed rate cannot do this across engines: on native
-    shards the pool's capacity is tens of thousands of rows/s, far above
-    what a fixed 40 req/s Poisson mix offers.
+    The burst is sized from the pool's measured capacity, as in the
+    isolation section: the Poisson clients together offer
+    ``overload_factor`` times the end-to-end FD requests/s a saturating
+    burst measured, for 0.1 s (``quick``) or 0.2 s.  A fixed rate cannot
+    overload every engine: 40 req/s per client is far under a native
+    shard's capacity.
     """
-    mix = dict(
-        n_clients=40 if quick else 80,
-        mpc_fraction=0.25,
-        requests_per_client=4 if quick else 8,
-        plans_per_client=2,
-        window=4,
-        rate_rps=40.0,
-        fault_rate=0.0,
-        seed=SEED,
-    )
+    n_clients = 40 if quick else 80
+    mpc_fraction = 0.25
+    burst_s = 0.1 if quick else 0.2
     svc = DynamicsService(policy=BatchPolicy(max_pending=100_000),
                           n_shards=1, warm_robots=[ROBOT])
     try:
-        run_async_load(horizon=16, service=svc, **mix)
-        capacity = sum(svc.metrics.measured_shard_rps().values())
-        n_mpc = round(mix["n_clients"] * mix["mpc_fraction"])
-        window = mix["window"]
-        horizon = max(16, window * math.ceil(
-            overload_factor * capacity * AUTOSCALE_TICK_S / n_mpc / window))
+        capacity_rps = asyncio.run(_fd_capacity(AsyncGateway(svc)))
+        n_poisson = n_clients - round(n_clients * mpc_fraction)
+        rate_rps = overload_factor * capacity_rps / n_poisson
         report = run_async_load(
-            horizon=horizon, service=svc, autoscale=True, min_shards=1,
-            max_shards=4, **mix)
+            n_clients=n_clients,
+            mpc_fraction=mpc_fraction,
+            requests_per_client=max(4, round(rate_rps * burst_s)),
+            plans_per_client=2,
+            horizon=16, window=4,
+            rate_rps=rate_rps,
+            fault_rate=0.0,
+            autoscale=True, min_shards=1, max_shards=4,
+            seed=SEED, service=svc,
+        )
     finally:
         svc.close()
     failed = report["poisson"]["failed"] + report["mpc"]["failed"]
     return {
         "clients": report["n_clients"],
-        "capacity_rows_per_s": capacity,
+        "capacity_rps": capacity_rps,
         "overload_factor": overload_factor,
-        "horizon": horizon,
+        "rate_rps_per_client": rate_rps,
         "scale_ups": report["scale_ups"],
         "scale_downs": report["scale_downs"],
         "failed": failed,
@@ -462,8 +454,9 @@ def main(argv: list[str]) -> int:
     a = rows["autoscale"]
     print(f"  autoscale:    +{a['scale_ups']}/-{a['scale_downs']} shards, "
           f"{a['failed']} failed, availability {a['availability']:.4f} "
-          f"(burst T={a['horizon']} rollouts against "
-          f"{a['capacity_rows_per_s']:.0f} rows/s measured capacity)")
+          f"(burst {a['overload_factor']:.0f}x {a['capacity_rps']:.0f} "
+          f"FD req/s measured capacity, utilization "
+          f"{a['utilization']:.2f})")
     v = rows["availability"]
     print(f"  availability: {v['availability']:.4f} with {v['clients']} "
           f"clients at {v['fault_rate']:.0%} faults "

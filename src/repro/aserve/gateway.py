@@ -119,7 +119,14 @@ class RolloutStream:
 
     async def result(self):
         """The final :class:`RolloutServeResult` (full trajectory)."""
-        return await asyncio.shield(self._aio_future)
+        value = await asyncio.shield(self._aio_future)
+        if self._cancelled:
+            # The shard finished before the cancel reached it; the
+            # consumer abandoned the tail all the same.
+            raise StreamCancelledError(
+                f"rollout stream cancelled after {value.horizon}/"
+                f"{value.horizon} knots (robot={value.robot!r})")
+        return value
 
     def __aiter__(self) -> "RolloutStream":
         return self

@@ -174,7 +174,7 @@ def _kernel_stack_bytes(nb: int, nv: int) -> dict[str, int]:
     frame plus the frames of its large callees (summed, in case they are
     inlined into one frame)."""
     mminv = 108 * nb + 6 * nb * nv + 7 * nv     # IA, U, DI; F; T, wl
-    drnea = 24 * nb * nv + 7 * nv + 72          # D; T, one row; g, cv
+    drnea = 24 * nb * nv + 6 * nv + 72          # D; T; g, cv
     staged = 36 * nb + 18 * nb                  # X; v, a, f
     return {k: 8 * (x + 64) for k, x in {
         "id": staged,
@@ -230,11 +230,6 @@ def generate_source(plan: ExecutionPlan, key: str = "") -> str:
     for slot in range(nb - 1, 0, -1):
         if parent[slot] >= 0:
             hi[parent[slot]] = max(hi[parent[slot]], hi[slot])
-    # DOF count of each slot's root path, itself included.
-    pw = k.copy()
-    for slot in range(nb):
-        if parent[slot] >= 0:
-            pw[slot] += pw[parent[slot]]
     axis = np.zeros((nb, 3))
     x_tree = np.zeros((nb, 6, 6))
     for g in plan.transform_groups:
@@ -254,15 +249,14 @@ def generate_source(plan: ExecutionPlan, key: str = "") -> str:
     )
     tables = "".join([
         "/* parent slot (-1: root), link index, joint kind, first DOF,\n"
-        " * DOF count, subtree DOF span end and root path DOF count of\n"
-        " * each slot, in plan slot order */\n",
+        " * DOF count and subtree DOF span end of each slot, in plan slot\n"
+        " * order */\n",
         _table("int", "PARENT", parent),
         _table("int", "LINK", plan.link_of_slot),
         _table("int", "KIND", [_KIND_CODES[kd] for kd in kinds]),
         _table("int", "Q0", q0),
         _table("int", "K", k),
         _table("int", "HI", hi),
-        _table("int", "PW", pw),
         "/* joint axes, motion subspaces (6 x 6, first K columns), tree\n"
         " * transforms and spatial inertias, row-major */\n",
         _table("double", "AXIS", axis),
@@ -281,10 +275,10 @@ def generate_source(plan: ExecutionPlan, key: str = "") -> str:
 #: columns in q order, where every link's subtree columns lie in
 #: ``[Q0, HI)``: the backward sweep runs at that window (the rest of
 #: the row is a structural zero), the forward sweep at ``[Q0, NV)``
-#: like the scalar reference.  dRNEA keeps compact columns per slot
-#: (root path first, then the subtree run): on atlas that cut its row
-#: time by about a quarter against q-order windows, which in turn ran
-#: about twice as fast as full-width rows.
+#: like the scalar reference.  dRNEA keeps q order too: a link's
+#: forward columns lie in ``[0, Q0 + K)`` and its backward columns in
+#: ``[0, HI)``; on atlas those windows ran about twice as fast as
+#: full-width rows.
 _KERNELS = r"""
 enum { REVOLUTE = 0, PRISMATIC = 1, FLOATING = 2 };
 
@@ -837,15 +831,11 @@ static void gyro(int s, const double *v, double *g)
 
 /* dRNEA (repro.dynamics.derivatives.rnea_derivatives) for one row at the
  * state rnea_row left: velocities v, accelerations a and subtree forces
- * f.  Writes dtau/dq and dtau/dqd (NV x NV, q order).
- *
- * Columns are compact per slot.  The forward blocks D[s] = [dv/dq,
- * dv/dqd, da/dq, da/dqd] are nonzero only at the DOFs of the root path,
- * kept root first in columns [0, PW[s]): the parent's path is a prefix,
- * the joint's own DOFs come last.  The da blocks then become the body
- * forces' derivatives df, which also gather the subtree's DOFs, q
- * columns [Q0 + K, HI), in columns PW[s] onwards: a joint's own and
- * subtree columns are one run that lands on the parent's subtree run. */
+ * f.  Writes dtau/dq and dtau/dqd (NV x NV, q order).  D[s] holds
+ * [dv/dq, dv/dqd, da/dq, da/dqd] of slot s, nonzero only at its root
+ * path's columns, [0, Q0 + K) in q order.  After the forward sweep the
+ * da blocks become the body-force derivatives df, which the backward
+ * sweep sums over the subtree columns, [0, HI). */
 static void rnea_derivatives_row(const double (*X)[36], const double *qd,
                                  const double (*v)[6], const double (*a)[6],
                                  const double (*f)[6], double *dq,
@@ -853,11 +843,11 @@ static void rnea_derivatives_row(const double (*X)[36], const double *qd,
 {
     double D[NB][4][6][NV];
     for (int s = 0; s < NB; ++s) {
-        const int p = PARENT[s], k = K[s], w = PW[s];
-        const int wp = w - k;
+        const int p = PARENT[s], k = K[s], r0 = Q0[s], w = r0 + k;
+        const int wp = p < 0 ? 0 : Q0[p] + K[p];
         double (*d)[6][NV] = D[s];
         double vj[6], xv[6], xa[6], cv[36], sj[6], t[6];
-        sub_mul(s, qd + Q0[s], vj);
+        sub_mul(s, qd + r0, vj);
         mv6(X[s], p < 0 ? A0 : a[p], xa);
         if (p >= 0)
             mv6(X[s], v[p], xv);
@@ -865,7 +855,7 @@ static void rnea_derivatives_row(const double (*X)[36], const double *qd,
             if (p >= 0)
                 mcols(X[s], 0, D[p][b], d[b], wp, 0);
             for (int i = 0; i < 6; ++i)
-                memset(&d[b][i][wp], 0, k * sizeof(double));
+                memset(&d[b][i][wp], 0, (w - wp) * sizeof(double));
         }
         for (int j = 0; j < k; ++j) {   /* the joint's own columns */
             for (int i = 0; i < 6; ++i)
@@ -873,12 +863,12 @@ static void rnea_derivatives_row(const double (*X)[36], const double *qd,
             if (p >= 0) {
                 cross_motion(xv, sj, t);
                 for (int i = 0; i < 6; ++i)
-                    d[0][i][wp + j] += t[i];
+                    d[0][i][r0 + j] += t[i];
             }
             cross_motion(xa, sj, t);
             for (int i = 0; i < 6; ++i) {
-                d[1][i][wp + j] += sj[i];
-                d[2][i][wp + j] += t[i];
+                d[1][i][r0 + j] += sj[i];
+                d[2][i][r0 + j] += t[i];
             }
         }
         crm6(vj, cv);       /* a holds v x vj: differentiate both factors */
@@ -889,11 +879,11 @@ static void rnea_derivatives_row(const double (*X)[36], const double *qd,
                 sj[i] = SUB[s][i * 6 + j];
             cross_motion(v[s], sj, t);
             for (int i = 0; i < 6; ++i)
-                d[3][i][wp + j] += t[i];
+                d[3][i][r0 + j] += t[i];
         }
     }
     for (int s = 0; s < NB; ++s) {      /* df = I da + gyro dv */
-        const int w = PW[s], bw = w + HI[s] - Q0[s] - K[s];
+        const int w = Q0[s] + K[s], hi = HI[s];
         double g[36], T[6][NV];
         gyro(s, v[s], g);
         for (int b = 0; b < 2; ++b) {
@@ -901,30 +891,24 @@ static void rnea_derivatives_row(const double (*X)[36], const double *qd,
             mcols(g, 0, D[s][b], T, w, 1);
             for (int i = 0; i < 6; ++i) {
                 memcpy(D[s][2 + b][i], T[i], w * sizeof(double));
-                memset(&D[s][2 + b][i][w], 0, (bw - w) * sizeof(double));
+                memset(&D[s][2 + b][i][w], 0, (hi - w) * sizeof(double));
             }
         }
     }
     for (int s = NB - 1; s >= 0; --s) {
-        const int p = PARENT[s], k = K[s], r0 = Q0[s], w = PW[s];
-        const int run = HI[s] - r0, bw = w + run - k;
+        const int p = PARENT[s], k = K[s], r0 = Q0[s], hi = HI[s];
         double (*df)[6][NV] = D[s] + 2;
-        for (int j = 0; j < k; ++j) {   /* dtau rows: S^T df, scattered */
-            for (int b = 0; b < 2; ++b) {
-                double *row = (b ? dqd : dq) + (r0 + j) * NV, r[NV];
-                for (int c = 0; c < bw; ++c)
-                    r[c] = 0.0;
-                for (int i = 0; i < 6; ++i) {
-                    const double x = SUB[s][i * 6 + j];
-                    if (x != 0.0)
-                        for (int c = 0; c < bw; ++c)
-                            r[c] += x * df[b][i][c];
-                }
-                memset(row, 0, NV * sizeof(double));
-                for (int l = s; l >= 0; l = PARENT[l])
-                    memcpy(row + Q0[l], r + PW[l] - K[l],
-                           K[l] * sizeof(double));
-                memcpy(row + r0 + k, r + w, (run - k) * sizeof(double));
+        for (int j = 0; j < k; ++j) {   /* dtau rows: S^T df */
+            double *rq = dq + (r0 + j) * NV, *rqd = dqd + (r0 + j) * NV;
+            memset(rq, 0, NV * sizeof(double));
+            memset(rqd, 0, NV * sizeof(double));
+            for (int i = 0; i < 6; ++i) {
+                const double w = SUB[s][i * 6 + j];
+                if (w != 0.0)
+                    for (int c = 0; c < hi; ++c) {
+                        rq[c] += w * df[0][i][c];
+                        rqd[c] += w * df[1][i][c];
+                    }
             }
         }
         if (p < 0)
@@ -935,16 +919,10 @@ static void rnea_derivatives_row(const double (*X)[36], const double *qd,
                 sj[i] = SUB[s][i * 6 + j];
             cross_force(sj, f[s], t);
             for (int i = 0; i < 6; ++i)
-                df[0][i][w - k + j] += t[i];
+                df[0][i][r0 + j] += t[i];
         }
-        /* the path part onto the parent's path, the own and subtree run
-         * onto the parent's subtree run */
-        const int wp = w - k, at = wp + r0 - Q0[p] - K[p];
-        for (int b = 0; b < 2; ++b) {
-            mcols(X[s], 1, df[b], D[p][2 + b], wp, 1);
-            mcols(X[s], 1, (double (*)[NV]) &df[b][0][wp],
-                  (double (*)[NV]) &D[p][2 + b][0][at], run, 1);
-        }
+        mcols(X[s], 1, df[0], D[p][2], hi, 1);
+        mcols(X[s], 1, df[1], D[p][3], hi, 1);
     }
 }
 

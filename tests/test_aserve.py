@@ -21,7 +21,7 @@ from repro.aserve import (
 )
 from repro.dynamics.functions import RBDFunction
 from repro.model.library import load_robot
-from repro.serve import DynamicsService
+from repro.serve import DynamicsService, StreamCancelledError
 
 
 def _inputs(t, seed=0, nv=7):
@@ -171,6 +171,27 @@ class TestGateway:
 
             roll = asyncio.run(run())
             assert roll.horizon == 4
+            assert gw.admission.stats()["mpc"]["inflight"] == 0
+
+    def test_cancel_after_last_window_still_raises(self):
+        """A cancel that lands after the shard finished the rollout
+        abandons its result all the same."""
+        q0, qd0, us = _inputs(8, seed=3)
+        with DynamicsService(n_shards=1) as service:
+            gw = AsyncGateway(service)
+
+            async def run():
+                stream = await gw.stream_rollout(
+                    "iiwa", q0, qd0, us, 1e-3, window=2, tenant="mpc")
+                windows = [w async for w in stream]
+                stream.cancel()
+                with pytest.raises(StreamCancelledError,
+                                   match="cancelled after 8/8"):
+                    await stream.result()
+                return windows
+
+            windows = asyncio.run(run())
+            assert windows[-1].done
             assert gw.admission.stats()["mpc"]["inflight"] == 0
 
     def test_rate_limited_tenant_refused(self):

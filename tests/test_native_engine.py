@@ -10,6 +10,7 @@ must match ``loop`` through the fallback.  Assertions about C itself
 skip cleanly on hosts without ``cc``.
 """
 
+import itertools
 import os
 import threading
 
@@ -77,23 +78,40 @@ def test_native_matches_loop(engine, robot, n):
 
 @pytest.mark.parametrize("n", [1, 256])
 @pytest.mark.parametrize("function", [RBDFunction.ID, RBDFunction.FD,
-                                      RBDFunction.DID, RBDFunction.DFD],
+                                      RBDFunction.DID, RBDFunction.DFD,
+                                      RBDFunction.DIFD],
                          ids=lambda f: f.value)
 def test_native_f_ext(engine, function, n):
     """Per-task forces on every non-root level (siblings under a shared
     parent included), plus a force shared by all tasks on the root."""
     for model in (load_robot("hyq"), load_robot("atlas"),
                   floating_under_revolute()):
-        states, u, _ = _batch_inputs(model, function, n, seed=11)
+        states, u, minv = _batch_inputs(model, function, n, seed=11)
         f_ext = _level_forces(model, n, np.random.default_rng(12))
-        got = batch_evaluate(model, function, states, u, f_ext=f_ext,
-                             engine=engine)
+        got = batch_evaluate(model, function, states, u, minv=minv,
+                             f_ext=f_ext, engine=engine)
         rows = reference_rows(n)
         want = batch_evaluate(
             model, function, BatchStates(states.q[rows], states.qd[rows]),
-            u[rows], engine="loop",
+            u[rows], minv=None if minv is None else minv[rows],
+            engine="loop",
             f_ext={link: np.broadcast_to(f, (n, 6))[rows]
                    for link, f in f_ext.items()})
+        assert_results_match(function, [got[k] for k in rows], want)
+
+
+def _assert_rows_match_loop(engine, model, seed=0):
+    """All seven functions at batch 1 and 256, checked against ``loop``
+    at :func:`reference_rows`."""
+    for n, function in itertools.product([1, 256], C_FUNCTIONS):
+        rows = reference_rows(n)
+        states, u, minv = _batch_inputs(model, function, n, seed=seed)
+        got = batch_evaluate(model, function, states, u, minv=minv,
+                             engine=engine)
+        want = batch_evaluate(
+            model, function, BatchStates(states.q[rows], states.qd[rows]),
+            u[rows], minv=None if minv is None else minv[rows],
+            engine="loop")
         assert_results_match(function, [got[k] for k in rows], want)
 
 
@@ -140,14 +158,14 @@ def test_native_derivatives_book_native_spans(engine, function):
 @pytest.mark.parametrize("seed", range(4))
 def test_native_random_trees(engine, seed):
     model = random_tree(9, seed=seed, floating=(seed % 2 == 0))
-    _assert_matches_loop(engine, model, seed=seed)
+    _assert_rows_match_loop(engine, model, seed=seed)
     if HAS_CC:
         assert engine.status(model) == "C"
 
 
 def test_native_floating_joint_below_root(engine):
     model = floating_under_revolute()
-    _assert_matches_loop(engine, model)
+    _assert_rows_match_loop(engine, model)
     if HAS_CC:
         assert engine.status(model) == "C"
 
